@@ -91,13 +91,8 @@ BENCHMARK(BM_CacheAccess);
 const char *
 labelFor(sim::DispatchMode mode)
 {
-    if (mode == sim::DispatchMode::Legacy)
-        return "dispatch:legacy";
-    if (mode != sim::DispatchMode::Switch &&
-        sim::threadedDispatchCompiled()) {
-        return "dispatch:threaded";
-    }
-    return "dispatch:switch";
+    return mode == sim::DispatchMode::Legacy ? "dispatch:legacy"
+                                             : "dispatch:switch";
 }
 
 void
@@ -116,26 +111,17 @@ endToEndBody(benchmark::State &state, sim::DispatchMode mode)
     }
     state.counters["sim_inst_per_s"] = benchmark::Counter(
         static_cast<double>(instructions), benchmark::Counter::kIsRate);
-    sim::setDispatchMode(sim::DispatchMode::Auto);
+    sim::setDispatchMode(sim::DispatchMode::Switch);
     state.SetLabel(labelFor(mode));
 }
 
-/** End-to-end rate under the default (threaded where compiled). */
+/** End-to-end rate on the predecoded switch engine. */
 void
 BM_EndToEndSimulation(benchmark::State &state)
 {
-    endToEndBody(state, sim::DispatchMode::Auto);
-}
-BENCHMARK(BM_EndToEndSimulation)->Unit(benchmark::kMillisecond);
-
-/** Same simulation, forced onto the portable switch loop — the A/B
- *  counterpart CI compares against BM_EndToEndSimulation. */
-void
-BM_EndToEndSimulationSwitch(benchmark::State &state)
-{
     endToEndBody(state, sim::DispatchMode::Switch);
 }
-BENCHMARK(BM_EndToEndSimulationSwitch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EndToEndSimulation)->Unit(benchmark::kMillisecond);
 
 /** Same simulation on the pre-predecode reference interpreter — the
  *  same-runner baseline for the CI step-change perf smoke. */
@@ -164,23 +150,16 @@ functionalBody(benchmark::State &state, sim::DispatchMode mode)
     }
     state.counters["emu_inst_per_s"] = benchmark::Counter(
         static_cast<double>(instructions), benchmark::Counter::kIsRate);
-    sim::setDispatchMode(sim::DispatchMode::Auto);
+    sim::setDispatchMode(sim::DispatchMode::Switch);
     state.SetLabel(labelFor(mode));
 }
 
 void
 BM_FunctionalEmulation(benchmark::State &state)
 {
-    functionalBody(state, sim::DispatchMode::Auto);
-}
-BENCHMARK(BM_FunctionalEmulation)->Unit(benchmark::kMillisecond);
-
-void
-BM_FunctionalEmulationSwitch(benchmark::State &state)
-{
     functionalBody(state, sim::DispatchMode::Switch);
 }
-BENCHMARK(BM_FunctionalEmulationSwitch)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FunctionalEmulation)->Unit(benchmark::kMillisecond);
 
 void
 BM_FunctionalEmulationLegacy(benchmark::State &state)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "sim/stats_run.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
@@ -152,6 +153,12 @@ parseRequest(const std::string &doc, Request &request,
         error = "missing required member 'verb'";
         return false;
     }
+    // Unknown machine or policy names are rejected here, at the edge,
+    // by the same parser elagc's flags go through.
+    pipeline::MachineConfig machine;
+    if (!sim::parseMachine(request.machine, request.selection,
+                           request.table, request.regs, machine, error))
+        return false;
     if (src_pos != std::string::npos &&
         !jsonExtractString(doc.substr(src_pos), "source",
                            request.source)) {

@@ -99,8 +99,9 @@ bool isControlVerb(const std::string &verb);
 
 /**
  * Parse one request document. @return false (with @p error set) on
- * invalid JSON, a non-object document, a missing/empty verb, or
- * out-of-range numeric fields.
+ * invalid JSON, a non-object document, a missing/empty verb,
+ * out-of-range numeric fields, or a machine or selection name
+ * sim::parseMachine rejects.
  */
 bool parseRequest(const std::string &doc, Request &request,
                   std::string &error);

@@ -1,12 +1,11 @@
 #include "serve/router.hh"
 
-#include "ckpt/checkpoint.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "serve/routing.hh"
-#include "sim/ckpt_run.hh"
 #include "sim/run_cache.hh"
 #include "sim/simulator.hh"
+#include "sim/stats_run.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "workloads/synthetic/generator.hh"
@@ -15,20 +14,6 @@ namespace elag {
 namespace serve {
 
 namespace {
-
-const char *
-specName(isa::LoadSpec spec)
-{
-    switch (spec) {
-      case isa::LoadSpec::Normal:
-        return "ld_n";
-      case isa::LoadSpec::Predict:
-        return "ld_p";
-      case isa::LoadSpec::EarlyCalc:
-        return "ld_e";
-    }
-    return "?";
-}
 
 sim::CompiledProgram
 compileRequest(const Request &request)
@@ -41,23 +26,6 @@ compileRequest(const Request &request)
         copts.opt = opt::OptConfig::noneEnabled();
     copts.runClassifier = !request.noClassify;
     return sim::compile(request.source, copts);
-}
-
-void
-writeProgramBlock(JsonWriter &w, const Request &request,
-                  const sim::CompiledProgram &prog)
-{
-    w.key("program").beginObject();
-    w.field("file", request.file);
-    w.field("instructions",
-            static_cast<uint64_t>(prog.code.program.code.size()));
-    w.key("static_loads").beginObject();
-    w.field("total", prog.classStats.total());
-    w.field("ld_n", prog.classStats.numNormal);
-    w.field("ld_p", prog.classStats.numPredict);
-    w.field("ld_e", prog.classStats.numEarlyCalc);
-    w.endObject();
-    w.endObject();
 }
 
 /** Generate-memo hit/miss counters, registered on first use. */
@@ -80,76 +48,12 @@ generateMemoCounter(bool hit)
 pipeline::MachineConfig
 Router::machineFor(const Request &request)
 {
-    pipeline::MachineConfig cfg =
-        request.machine == "baseline"
-            ? pipeline::MachineConfig::baseline()
-            : pipeline::MachineConfig::proposed();
-    if (request.table) {
-        cfg.addressTableEnabled = true;
-        cfg.addressTableEntries = request.table;
-    }
-    if (request.regs) {
-        cfg.earlyCalcEnabled = true;
-        cfg.registerCacheSize = request.regs;
-    }
-    if (request.selection == "compiler")
-        cfg.selection = pipeline::SelectionPolicy::CompilerSpec;
-    else if (request.selection == "ev")
-        cfg.selection = pipeline::SelectionPolicy::EvSelect;
-    else if (request.selection == "all-predict")
-        cfg.selection = pipeline::SelectionPolicy::AllPredict;
-    else if (request.selection == "all-early")
-        cfg.selection = pipeline::SelectionPolicy::AllEarlyCalc;
-    else if (!request.selection.empty())
-        fatal("unknown selection policy '%s'",
-              request.selection.c_str());
+    pipeline::MachineConfig cfg;
+    std::string error;
+    if (!sim::parseMachine(request.machine, request.selection,
+                           request.table, request.regs, cfg, error))
+        fatal("%s", error.c_str());
     return cfg;
-}
-
-std::string
-Router::checkpointedSimulate(const Request &request,
-                             const sim::CompiledProgram &prog,
-                             const sim::Watchdog &watchdog) const
-{
-    // Keyed by the same content hash as the persistent tier, so the
-    // retried request a supervisor re-routes after a worker death
-    // lands on the snapshot its predecessor left behind. Bypasses
-    // the in-memory RunCache: a checkpointed run owns its telemetry
-    // end to end so the resumed document stays byte-identical.
-    sim::CkptPolicy policy;
-    policy.path = formatString(
-        "%s/req-%016llx.ckpt", cfg.checkpointDir.c_str(),
-        static_cast<unsigned long long>(persistKey(request)));
-    policy.everyRetires = cfg.checkpointEvery;
-    std::string resume =
-        ckpt::fileExists(policy.path) ? policy.path : std::string();
-
-    pipeline::LoadTelemetry telemetry;
-    sim::CkptStatsOutcome out;
-    try {
-        out = sim::runTimedCheckpointed(
-            prog, machineFor(request),
-            pipeline::MachineConfig::baseline(), request.maxInst,
-            &telemetry, nullptr, nullptr, watchdog, policy, resume);
-    } catch (const ckpt::CkptError &e) {
-        // A snapshot this worker cannot use (torn, corrupt, other
-        // run) is never fatal to the request: re-run clean and let
-        // the fresh snapshots overwrite it.
-        warn("unusable request checkpoint '%s' (%s: %s); re-running "
-             "clean",
-             policy.path.c_str(), ckpt::name(e.kind()), e.what());
-        telemetry.reset();
-        out = sim::runTimedCheckpointed(
-            prog, machineFor(request),
-            pipeline::MachineConfig::baseline(), request.maxInst,
-            &telemetry, nullptr, nullptr, watchdog, policy);
-    }
-    if (out.resumed)
-        inform("simulate request resumed from '%s'",
-               policy.path.c_str());
-    return sim::statsReportJson(request.file, request.machine,
-                                request.selection, prog, out.base,
-                                out.timed, telemetry);
 }
 
 std::string
@@ -177,7 +81,7 @@ Router::execute(const Request &request) const
     if (request.verb == "compile") {
         JsonWriter w;
         w.beginObject();
-        writeProgramBlock(w, request, prog);
+        sim::writeProgramBlock(w, request.file, prog);
         w.endObject();
         return w.str();
     }
@@ -185,12 +89,12 @@ Router::execute(const Request &request) const
     if (request.verb == "classify") {
         JsonWriter w;
         w.beginObject();
-        writeProgramBlock(w, request, prog);
+        sim::writeProgramBlock(w, request.file, prog);
         w.key("loads").beginArray();
         for (const auto &entry : prog.specOf.entries()) {
             w.beginObject();
             w.field("load_id", entry.first);
-            w.field("spec", specName(entry.second));
+            w.field("spec", sim::specName(entry.second));
             w.endObject();
         }
         w.endArray();
@@ -208,13 +112,30 @@ Router::execute(const Request &request) const
                                  : cfg.defaultDeadlineMs;
         std::string doc;
         if (!cfg.checkpointDir.empty()) {
-            doc = checkpointedSimulate(request, prog, watchdog);
+            // Durable snapshots keyed by the same content hash as the
+            // persistent tier, so the retried request a supervisor
+            // re-routes after a worker death resumes from the
+            // snapshot its predecessor left behind. Bypasses the
+            // RunCache: the stats run owns its telemetry end to end.
+            sim::StatsJob job;
+            job.machine = machineFor(request);
+            job.maxInstructions = request.maxInst;
+            job.watchdog = watchdog;
+            job.checkpoint.emplace();
+            job.checkpoint->path = formatString(
+                "%s/req-%016llx.ckpt", cfg.checkpointDir.c_str(),
+                static_cast<unsigned long long>(persistKey(request)));
+            job.checkpoint->everyRetires = cfg.checkpointEvery;
+            sim::StatsOutcome out = sim::runStats(prog, job);
+            doc = sim::statsReportJson(request.file, request.machine,
+                                       request.selection, prog,
+                                       out.base, out.timed,
+                                       out.telemetry);
         } else {
             auto &cache = sim::RunCache::instance();
-            // Identical structure to elagc --json-stats: a clean
-            // baseline run plus the configured machine observed by
-            // load telemetry, both shareable across requests via the
-            // cache.
+            // The stats run's structure, served through the cache: a
+            // clean baseline run plus the configured machine observed
+            // by load telemetry, both shareable across requests.
             sim::TimedResult base =
                 cache.run(prog, pipeline::MachineConfig::baseline(),
                           request.maxInst, watchdog);

@@ -29,11 +29,6 @@
 
 namespace elag {
 
-namespace sim {
-struct CompiledProgram;
-struct Watchdog;
-} // namespace sim
-
 namespace serve {
 
 /** Router policy knobs (from elagd flags). */
@@ -73,24 +68,14 @@ class Router
     std::string execute(const Request &request) const;
 
     /**
-     * Machine configuration for a request, mirroring elagc's
-     * --machine/--table/--regs/--selection semantics exactly (so a
-     * served simulate matches the single-shot CLI byte for byte).
-     * Throws FatalError on an unknown selection policy.
+     * Machine configuration for a request, built by the parser elagc
+     * uses for its flags (sim::parseMachine), so a served simulate
+     * matches the single-shot CLI byte for byte. Throws FatalError
+     * on an unknown name (parseRequest already rejects those).
      */
     static pipeline::MachineConfig machineFor(const Request &request);
 
   private:
-    /**
-     * Simulate with durable mid-run snapshots (checkpointDir set):
-     * resumes a predecessor worker's snapshot when one exists, falls
-     * back to a clean run on any unusable snapshot.
-     */
-    std::string checkpointedSimulate(const Request &request,
-                                     const sim::CompiledProgram &prog,
-                                     const sim::Watchdog &watchdog)
-        const;
-
     /** `generate`: spec -> rendered scenario document, memoized. */
     std::string generate(const Request &request,
                          uint64_t persist_key) const;

@@ -1,29 +1,22 @@
 /**
  * @file
- * Crash-safe checkpointed timed simulation.
+ * Resumable timed simulation and snapshot identity.
  *
- * A timed stats run (the engine behind `elagc --json-stats` and the
- * daemon's `simulate` verb) is two sequential simulations — the
- * baseline machine, then the configured machine with telemetry and
- * optional verification observers attached. runTimedCheckpointed()
- * executes the same two runs in fixed-size retire chunks and writes a
- * durable snapshot of the complete simulation state between chunks:
- * architectural state (PC, register files, memory image), the full
- * timing model (caches, BTB, predictor tables, booking ring,
- * in-flight stores, issue/fetch frontiers, aggregate stats), and
- * every attached observer (telemetry, invariant checker, fault
- * injector PRNG stream).
+ * ResumableTimedRun is the one guarded timed-run loop: it retires in
+ * caller-sized steps, enforces the Watchdog per retire, cuts
+ * `sim.slice` trace spans, and can serialize its complete state
+ * between steps — architectural state (PC, register files, memory
+ * image) and the full timing model (caches, BTB, predictor tables,
+ * booking ring, in-flight stores, issue/fetch frontiers, aggregate
+ * stats). runTimed() uses it as a single step whenever a watchdog or
+ * the span tracer is armed; the stats run (sim/stats_run.hh) uses it
+ * in snapshot-sized chunks.
  *
- * The contract is *kill-resume equivalence*: a run killed at any
- * instant and resumed from its last snapshot produces a final stats
- * report byte-identical to an uninterrupted run's. Snapshots are
- * written atomically (ckpt/checkpoint.hh), so a kill mid-snapshot
- * just resumes from the previous one.
- *
- * Snapshots are bound to their run identity — program hash, machine
- * and baseline config hashes, instruction cap, observer set, fault
- * plan and seed. Restoring against a different identity throws
- * CkptError(Mismatch) rather than silently continuing the wrong run.
+ * Snapshots are bound to their run identity (CkptRunKey) — program
+ * hash, machine and baseline config hashes, instruction cap,
+ * observer set, fault plan and seed. Restoring against a different
+ * identity throws CkptError(Mismatch) rather than silently
+ * continuing the wrong run.
  */
 
 #ifndef ELAG_SIM_CKPT_RUN_HH
@@ -37,16 +30,12 @@
 
 namespace elag {
 
-namespace verify {
-class FaultInjector;
-class InvariantChecker;
-} // namespace verify
-
 namespace sim {
 
 /**
- * Identity of one checkpointed stats run. A snapshot may only be
- * restored into a run with the identical key.
+ * Identity of one checkpointed stats run (built by makeRunKey in
+ * sim/stats_run.hh). A snapshot may only be restored into a run with
+ * the identical key.
  */
 struct CkptRunKey
 {
@@ -70,13 +59,6 @@ struct CkptRunKey
                injectorSeed == o.injectorSeed;
     }
 };
-
-/** The key for a stats run over @p prog with the given attachments. */
-CkptRunKey makeRunKey(const CompiledProgram &prog,
-                      const pipeline::MachineConfig &machine,
-                      const pipeline::MachineConfig &baseline,
-                      uint64_t max_instructions, bool has_checker,
-                      const verify::FaultInjector *injector);
 
 void serialize(ckpt::Writer &w, const CkptRunKey &key);
 void restore(ckpt::Reader &r, CkptRunKey &key);
@@ -105,9 +87,10 @@ class ResumableTimedRun
 
     /**
      * Retire up to @p budget more instructions. Watchdog limits are
-     * enforced per retire exactly as in runTimed(); maxRetires and
-     * maxCycles count the whole (resumed) run, maxWallMs counts this
-     * process's attempt only.
+     * enforced per retire (SimTimeoutError); maxRetires and maxCycles
+     * count the whole (resumed) run, maxWallMs counts the time since
+     * construction or the last restore. With the span tracer armed,
+     * every 2^20 retires close one `sim.slice` span.
      */
     void step(uint64_t budget, const Watchdog &watchdog);
 
@@ -117,7 +100,10 @@ class ResumableTimedRun
     /** Retired instructions so far, across restores. */
     uint64_t retired() const { return acc_.instructions; }
 
-    /** Finalize the pipeline and return the result (once done()). */
+    /**
+     * Finalize the pipeline and return the result (once done()),
+     * closing the last partial `sim.slice` span.
+     */
     TimedResult finish();
 
     /**
@@ -129,6 +115,11 @@ class ResumableTimedRun
     void restore(ckpt::Reader &r);
 
   private:
+    /** The per-retire watchdog and slice bookkeeping. */
+    void guard(const Watchdog &watchdog, uint64_t retired, bool tracing);
+    /** Close the slice span ending at @p retired. */
+    void recordSlice(uint64_t retired);
+
     pipeline::Pipeline pipe_;
     Emulator emu_;
     uint64_t maxInst_;
@@ -137,17 +128,21 @@ class ResumableTimedRun
     bool done_ = false;
     /** Wall-clock budget base for this process's attempt. */
     std::chrono::steady_clock::time_point wallStart_;
+    /** Open `sim.slice` span: start time and retire count. */
+    uint64_t sliceStartUs_ = 0;
+    uint64_t sliceBase_ = 0;
 };
 
 /** Snapshot cadence and placement for a checkpointed run. */
 struct CkptPolicy
 {
-    /** Snapshot file; empty disables snapshotting (resume-only). */
+    /**
+     * Snapshot file, removed once the run completes; empty disables
+     * snapshotting (the run is still chunked and interruptible).
+     */
     std::string path;
     /** Retires between snapshots (0 means the 5M default). */
     uint64_t everyRetires = 0;
-    /** Remove the snapshot after the run completes cleanly. */
-    bool deleteOnSuccess = true;
     /**
      * Polled at chunk boundaries; returning true flushes a final
      * snapshot and stops the run with interrupted=true (used by
@@ -158,51 +153,6 @@ struct CkptPolicy
 
 /** Default snapshot interval in retired instructions. */
 constexpr uint64_t kDefaultCkptRetires = 5'000'000;
-
-/** Outcome of a checkpointed stats run. */
-struct CkptStatsOutcome
-{
-    TimedResult base;
-    TimedResult timed;
-    /** True when the run continued from a restored snapshot. */
-    bool resumed = false;
-    /**
-     * True when policy.interrupted() stopped the run early; base and
-     * timed are then partial and must not be reported.
-     */
-    bool interrupted = false;
-    uint32_t snapshots = 0;
-    /** Snapshot writes that failed (warned, never fatal). */
-    uint32_t snapshotFailures = 0;
-};
-
-/**
- * The two-phase stats run (baseline machine, then @p machine with
- * @p telemetry / @p checker attached and @p injector active) with
- * periodic durable snapshots per @p policy.
- *
- * When @p resume_from is non-empty the snapshot at that path is
- * validated and restored first; any defect — torn file, bad CRC,
- * version mismatch, or an identity mismatch against the current run
- * — throws the corresponding typed CkptError. The caller decides
- * whether that is fatal (explicit --resume-from) or grounds for a
- * clean re-run (auto-resume).
- *
- * Observers must match the snapshot being restored: @p telemetry
- * and @p checker state is captured alongside the simulation so a
- * resumed run's load report and invariant-conservation checks match
- * an uninterrupted run's.
- */
-CkptStatsOutcome
-runTimedCheckpointed(const CompiledProgram &prog,
-                     const pipeline::MachineConfig &machine,
-                     const pipeline::MachineConfig &baseline,
-                     uint64_t max_instructions,
-                     pipeline::LoadTelemetry *telemetry,
-                     verify::InvariantChecker *checker,
-                     verify::FaultInjector *injector,
-                     const Watchdog &watchdog, const CkptPolicy &policy,
-                     const std::string &resume_from = "");
 
 } // namespace sim
 } // namespace elag

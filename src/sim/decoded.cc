@@ -217,19 +217,14 @@ DispatchMode
 envDispatchMode()
 {
     const char *env = std::getenv("ELAG_DISPATCH");
-    if (!env || !*env)
-        return DispatchMode::Auto;
-    if (std::strcmp(env, "switch") == 0)
+    if (!env || !*env || std::strcmp(env, "switch") == 0)
         return DispatchMode::Switch;
-    if (std::strcmp(env, "threaded") == 0)
-        return DispatchMode::Threaded;
     if (std::strcmp(env, "legacy") == 0)
         return DispatchMode::Legacy;
-    if (std::strcmp(env, "auto") != 0)
-        warn("ELAG_DISPATCH: unknown mode '%s' (want auto, switch, "
-             "threaded, or legacy); using auto",
-             env);
-    return DispatchMode::Auto;
+    warn("ELAG_DISPATCH: unknown mode '%s' (want switch or legacy); "
+         "using switch",
+         env);
+    return DispatchMode::Switch;
 }
 
 std::atomic<DispatchMode> &
@@ -251,16 +246,6 @@ DispatchMode
 dispatchMode()
 {
     return modeVar().load(std::memory_order_relaxed);
-}
-
-bool
-threadedDispatchActive()
-{
-    if (!threadedDispatchCompiled())
-        return false;
-    DispatchMode mode = dispatchMode();
-    return mode != DispatchMode::Switch &&
-           mode != DispatchMode::Legacy;
 }
 
 } // namespace sim

@@ -12,20 +12,16 @@
  * rather than raw isa::Instruction records: handler specialization,
  * operand pre-resolution, and the retire flag word all happen once
  * per static instruction instead of once per committed instruction.
- * Two dispatch loops share one set of handler bodies
- * (sim/exec_loop.inc):
+ * Two engines execute it:
  *
- *  - runThreaded(): computed-goto threaded code, compiled in when the
- *    ELAG_THREADED_DISPATCH build option is ON and the compiler
- *    supports &&label (GCC/Clang). Each handler ends in its own
- *    indirect jump, so the host branch predictor keys on the guest's
- *    actual opcode-successor patterns.
- *  - runSwitch(): a portable switch over the same handler indices,
- *    always compiled, selectable at runtime (sim::setDispatchMode or
- *    ELAG_DISPATCH=switch) for differential testing and A/B benches.
+ *  - runSwitch(): a switch over the predecoded handler indices
+ *    (sim/exec_loop.inc), the default engine.
+ *  - runLegacy(): the pre-predecode reference interpreter, selectable
+ *    at runtime (sim::setDispatchMode or ELAG_DISPATCH=legacy) as a
+ *    differential oracle and a same-runner perf baseline.
  *
- * Both loops produce identical observable behavior by construction;
- * tests/test_dispatch.cc pins the stats documents byte-for-byte.
+ * tests/test_dispatch.cc pins the two engines' stats documents
+ * byte-for-byte.
  *
  * run() is a template over the observer callable so the per-retire
  * callback (typically "feed the pipeline timing model") inlines into
@@ -51,18 +47,6 @@
 #include "sim/decoded.hh"
 #include "support/logging.hh"
 
-/**
- * ELAG_EMU_CGOTO mirrors sim::threadedDispatchCompiled() at the
- * preprocessor level: it gates the computed-goto loop's definition,
- * which uses GNU &&label syntax a portable build cannot parse.
- */
-#if defined(ELAG_THREADED_DISPATCH) && ELAG_THREADED_DISPATCH && \
-    (defined(__GNUC__) || defined(__clang__))
-#define ELAG_EMU_CGOTO 1
-#else
-#define ELAG_EMU_CGOTO 0
-#endif
-
 namespace elag {
 namespace sim {
 
@@ -78,6 +62,18 @@ struct EmulationResult
     /** Exit value (main's return value, register r4 at HALT). */
     int32_t exitValue = 0;
 };
+
+/**
+ * True when two runs of one program agree architecturally: print
+ * output, exit value, instruction count, and halted flag. Timing
+ * (and anything a fault injector may move) is not compared.
+ */
+inline bool
+sameArchitecture(const EmulationResult &a, const EmulationResult &b)
+{
+    return a.output == b.output && a.exitValue == b.exitValue &&
+           a.instructions == b.instructions && a.halted == b.halted;
+}
 
 /**
  * Checkpoint codec for a (possibly partial) emulation result — used
@@ -126,8 +122,8 @@ class Emulator
      * is not captured; restore() requires an Emulator constructed
      * over the identical MachineProgram (checked by program hash at
      * the checkpoint layer). The predecoded stream is derived state
-     * and never serialized, so checkpoints taken under one dispatch
-     * mode restore under the other.
+     * and never serialized, so checkpoints taken under one engine
+     * restore under the other.
      */
     void serialize(ckpt::Writer &w) const;
     void restore(ckpt::Reader &r);
@@ -135,18 +131,13 @@ class Emulator
   private:
     template <typename F>
     EmulationResult runSwitch(uint64_t max_instructions, F &&observer);
-#if ELAG_EMU_CGOTO
-    template <typename F>
-    EmulationResult runThreaded(uint64_t max_instructions,
-                                F &&observer);
-#endif
     template <typename F>
     EmulationResult runLegacy(uint64_t max_instructions, F &&observer);
 
     void reset();
 
     // Owned copy, not a reference: the legacy loop decodes from the
-    // raw program at run time (the other engines only touch the
+    // raw program at run time (the switch engine only touches the
     // shared DecodedStream), and callers may construct an Emulator
     // from a temporary MachineProgram.
     const isa::MachineProgram prog;
@@ -161,15 +152,9 @@ template <typename F>
 EmulationResult
 Emulator::run(uint64_t max_instructions, F &&observer)
 {
-    const DispatchMode mode = dispatchMode();
-    if (mode == DispatchMode::Legacy) [[unlikely]]
+    if (dispatchMode() == DispatchMode::Legacy) [[unlikely]]
         return runLegacy(max_instructions,
                          std::forward<F>(observer));
-#if ELAG_EMU_CGOTO
-    if (mode != DispatchMode::Switch)
-        return runThreaded(max_instructions,
-                           std::forward<F>(observer));
-#endif
     return runSwitch(max_instructions, std::forward<F>(observer));
 }
 
@@ -177,27 +162,14 @@ template <typename F>
 EmulationResult
 Emulator::runSwitch(uint64_t max_instructions, F &&observer)
 {
-#define ELAG_EXEC_THREADED 0
 #include "sim/exec_loop.inc"
-#undef ELAG_EXEC_THREADED
 }
-
-#if ELAG_EMU_CGOTO
-template <typename F>
-EmulationResult
-Emulator::runThreaded(uint64_t max_instructions, F &&observer)
-{
-#define ELAG_EXEC_THREADED 1
-#include "sim/exec_loop.inc"
-#undef ELAG_EXEC_THREADED
-}
-#endif
 
 /**
  * The pre-predecode reference interpreter: a decode-as-you-go switch
  * over raw isa::Instruction records, kept alive (with the typed guest
- * traps) as a third differential oracle — it shares no predecode
- * machinery with the other modes — and as the same-runner baseline
+ * traps) as a differential oracle — it shares no predecode
+ * machinery with the switch engine — and as the same-runner baseline
  * the dispatch A/B benches and the CI perf smoke measure against.
  * RetiredInst records leave flag::Valid clear, so this mode also
  * exercises the pipeline's decode-at-retire fallback.
@@ -261,8 +233,14 @@ Emulator::runLegacy(uint64_t max_instructions, F &&observer)
             int32_t imm = inst.imm;
 
             switch (inst.op) {
-              case Opcode::ADD: write_reg(inst.rd, sa + sb); break;
-              case Opcode::SUB: write_reg(inst.rd, sa - sb); break;
+              // Wrapping guest arithmetic, in uint32_t (signed
+              // overflow is undefined on the host).
+              case Opcode::ADD:
+                write_reg(inst.rd, static_cast<int32_t>(a + b));
+                break;
+              case Opcode::SUB:
+                write_reg(inst.rd, static_cast<int32_t>(a - b));
+                break;
               case Opcode::MUL:
                 write_reg(inst.rd, static_cast<int32_t>(a * b));
                 break;
@@ -305,7 +283,10 @@ Emulator::runLegacy(uint64_t max_instructions, F &&observer)
               case Opcode::SLT: write_reg(inst.rd, sa < sb); break;
               case Opcode::SLTU: write_reg(inst.rd, a < b); break;
               case Opcode::SEQ: write_reg(inst.rd, sa == sb); break;
-              case Opcode::ADDI: write_reg(inst.rd, sa + imm); break;
+              case Opcode::ADDI:
+                write_reg(inst.rd, static_cast<int32_t>(
+                                       a + static_cast<uint32_t>(imm)));
+                break;
               case Opcode::ANDI: write_reg(inst.rd, sa & imm); break;
               case Opcode::ORI: write_reg(inst.rd, sa | imm); break;
               case Opcode::XORI: write_reg(inst.rd, sa ^ imm); break;

@@ -1,12 +1,11 @@
 #include "sim/simulator.hh"
 
-#include <chrono>
-
 #include "irgen/irgen.hh"
 #include "lang/parser.hh"
 #include "lang/sema.hh"
 #include "obs/span.hh"
 #include "pipeline/stats.hh"
+#include "sim/ckpt_run.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -137,120 +136,37 @@ runProfile(const CompiledProgram &prog, uint64_t max_instructions)
 TimedResult
 runTimed(const CompiledProgram &prog,
          const pipeline::MachineConfig &machine,
-         uint64_t max_instructions)
-{
-    return runTimed(prog, machine, max_instructions, {});
-}
-
-TimedResult
-runTimed(const CompiledProgram &prog,
-         const pipeline::MachineConfig &machine,
-         uint64_t max_instructions,
-         const std::vector<pipeline::Observer *> &observers)
-{
-    return runTimed(prog, machine, max_instructions, observers,
-                    Watchdog{});
-}
-
-TimedResult
-runTimed(const CompiledProgram &prog,
-         const pipeline::MachineConfig &machine,
          uint64_t max_instructions,
          const std::vector<pipeline::Observer *> &observers,
          const Watchdog &watchdog)
 {
+    // A watchdog or an armed tracer needs per-retire checks: that is
+    // one step of the resumable run, which owns the guarded loop.
+    if (watchdog.maxWallMs || watchdog.maxRetires ||
+        watchdog.maxCycles || obs::SpanTracer::process().enabled()) {
+        ResumableTimedRun run(prog, machine, max_instructions);
+        for (pipeline::Observer *observer : observers)
+            run.attach(observer);
+        run.step(max_instructions, watchdog);
+        return run.finish();
+    }
+
     TimedResult result;
     pipeline::Pipeline pipe(machine);
     for (pipeline::Observer *observer : observers)
         pipe.attach(observer);
     Emulator emu(prog.code.program);
 
-    obs::SpanTracer &tracer = obs::SpanTracer::process();
-
     // Most runs have no watchdog and no tracer armed; keep the
     // per-retire callback down to the pipeline hand-off in that case.
-    if (!watchdog.maxWallMs && !watchdog.maxRetires &&
-        !watchdog.maxCycles && !tracer.enabled()) {
-        result.emulation =
-            emu.run(max_instructions,
-                    [&](const pipeline::RetiredInst &ri) {
-                        pipe.retire(ri);
-                    });
-        result.pipe = pipe.finish();
-        return result;
-    }
-
-    // With the tracer armed, cut the run into slice spans so a
-    // long simulation shows progress structure in the trace viewer
-    // instead of one opaque block.
-    constexpr uint64_t kSliceRetires = 1u << 20;
-    uint64_t sliceStartUs = tracer.enabled() ? tracer.nowMicros() : 0;
-    uint64_t sliceBase = 0;
-
-    uint64_t retired = 0;
-    const auto wallStart = std::chrono::steady_clock::now();
-    result.emulation = emu.run(
-        max_instructions, [&](const pipeline::RetiredInst &ri) {
-            pipe.retire(ri);
-            ++retired;
-            if (tracer.enabled() &&
-                retired - sliceBase >= kSliceRetires) {
-                uint64_t now = tracer.nowMicros();
-                tracer.record(
-                    "sim.slice", "sim", sliceStartUs,
-                    now - sliceStartUs,
-                    {{"retired", std::to_string(retired)},
-                     {"cycle",
-                      std::to_string(pipe.currentCycle())}});
-                sliceStartUs = now;
-                sliceBase = retired;
-            }
-            if (watchdog.maxWallMs && (retired & 0xfff) == 0) {
-                auto elapsed =
-                    std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - wallStart)
-                        .count();
-                if (static_cast<uint64_t>(elapsed) > watchdog.maxWallMs) {
-                    throw SimTimeoutError(
-                        SimTimeoutError::Kind::WallClock,
-                        watchdog.maxWallMs,
-                        formatString("watchdog: run exceeded %llu ms "
-                                     "of wall clock",
-                                     static_cast<unsigned long long>(
-                                         watchdog.maxWallMs)));
-                }
-            }
-            if (watchdog.maxRetires && retired > watchdog.maxRetires) {
-                throw SimTimeoutError(
-                    SimTimeoutError::Kind::Retires, watchdog.maxRetires,
-                    formatString("watchdog: more than %llu "
-                                 "instructions retired",
-                                 static_cast<unsigned long long>(
-                                     watchdog.maxRetires)));
-            }
-            if (watchdog.maxCycles &&
-                pipe.currentCycle() > watchdog.maxCycles) {
-                throw SimTimeoutError(
-                    SimTimeoutError::Kind::Cycles, watchdog.maxCycles,
-                    formatString("watchdog: simulation passed cycle "
-                                 "%llu",
-                                 static_cast<unsigned long long>(
-                                     watchdog.maxCycles)));
-            }
-        });
-    if (tracer.enabled() && retired > sliceBase) {
-        uint64_t now = tracer.nowMicros();
-        tracer.record("sim.slice", "sim", sliceStartUs,
-                      now - sliceStartUs,
-                      {{"retired", std::to_string(retired)},
-                       {"cycle",
-                        std::to_string(pipe.currentCycle())}});
-    }
+    result.emulation =
+        emu.run(max_instructions,
+                [&](const pipeline::RetiredInst &ri) {
+                    pipe.retire(ri);
+                });
     result.pipe = pipe.finish();
     return result;
 }
-
-namespace {
 
 const char *
 specName(isa::LoadSpec spec)
@@ -265,6 +181,25 @@ specName(isa::LoadSpec spec)
     }
     return "?";
 }
+
+void
+writeProgramBlock(JsonWriter &w, const std::string &file_label,
+                  const CompiledProgram &prog)
+{
+    w.key("program").beginObject();
+    w.field("file", file_label);
+    w.field("instructions",
+            static_cast<uint64_t>(prog.code.program.code.size()));
+    w.key("static_loads").beginObject();
+    w.field("total", prog.classStats.total());
+    w.field("ld_n", prog.classStats.numNormal);
+    w.field("ld_p", prog.classStats.numPredict);
+    w.field("ld_e", prog.classStats.numEarlyCalc);
+    w.endObject();
+    w.endObject();
+}
+
+namespace {
 
 pipeline::LoadPath
 expectedPath(isa::LoadSpec spec)
@@ -405,17 +340,7 @@ statsReportJson(const std::string &file_label,
 {
     JsonWriter w;
     w.beginObject();
-    w.key("program").beginObject();
-    w.field("file", file_label);
-    w.field("instructions",
-            static_cast<uint64_t>(prog.code.program.code.size()));
-    w.key("static_loads").beginObject();
-    w.field("total", prog.classStats.total());
-    w.field("ld_n", prog.classStats.numNormal);
-    w.field("ld_p", prog.classStats.numPredict);
-    w.field("ld_e", prog.classStats.numEarlyCalc);
-    w.endObject();
-    w.endObject();
+    writeProgramBlock(w, file_label, prog);
     w.field("machine", machine_name);
     if (!selection.empty())
         w.field("selection", selection);

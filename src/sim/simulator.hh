@@ -167,21 +167,6 @@ struct TimedResult
     EmulationResult emulation;
 };
 
-/** Emulation-driven timed run on the given machine. */
-TimedResult runTimed(const CompiledProgram &prog,
-                     const pipeline::MachineConfig &machine,
-                     uint64_t max_instructions = 500'000'000);
-
-/**
- * Timed run with pipeline observers attached (telemetry, custom
- * tooling). Observers must outlive the call; they receive every
- * pipeline event of the run.
- */
-TimedResult runTimed(const CompiledProgram &prog,
-                     const pipeline::MachineConfig &machine,
-                     uint64_t max_instructions,
-                     const std::vector<pipeline::Observer *> &observers);
-
 /**
  * Thrown by a watchdog-guarded run whose program exceeded a limit —
  * a hung or runaway simulation, distinct from both user error
@@ -227,17 +212,31 @@ struct Watchdog
 };
 
 /**
- * Timed run guarded by a watchdog: throws SimTimeoutError as soon as
- * a limit is exceeded mid-run.
+ * Emulation-driven timed run on the given machine. @p observers
+ * (telemetry, checkers, custom tooling) must outlive the call; they
+ * receive every pipeline event of the run. A watchdog with any limit
+ * set throws SimTimeoutError as soon as the limit is exceeded
+ * mid-run.
  */
 TimedResult runTimed(const CompiledProgram &prog,
                      const pipeline::MachineConfig &machine,
-                     uint64_t max_instructions,
-                     const std::vector<pipeline::Observer *> &observers,
-                     const Watchdog &watchdog);
+                     uint64_t max_instructions = 500'000'000,
+                     const std::vector<pipeline::Observer *> &observers =
+                         {},
+                     const Watchdog &watchdog = {});
 
 /** baseline cycles / machine cycles. */
 double speedup(const TimedResult &baseline, const TimedResult &machine);
+
+/** Assembly mnemonic of a load specifier: ld_n, ld_p or ld_e. */
+const char *specName(isa::LoadSpec spec);
+
+/**
+ * The `program` member of the stats and serving documents: the
+ * report label, static instruction count, and static load classes.
+ */
+void writeProgramBlock(JsonWriter &w, const std::string &file_label,
+                       const CompiledProgram &prog);
 
 /**
  * Render per-PC load telemetry as an aligned text table, cross-

@@ -2,9 +2,8 @@
 
 #include <cstdio>
 
-#include "sim/ckpt_run.hh"
+#include "sim/stats_run.hh"
 #include "support/logging.hh"
-#include "verify/invariant_checker.hh"
 
 namespace elag {
 namespace verify {
@@ -39,58 +38,38 @@ checkKillResumeEquivalence(const std::string &source,
     CkptDiffResult result;
 
     sim::CompiledProgram prog = sim::compile(source);
-    const auto machine = pipeline::MachineConfig::proposed();
-    const auto baseline = pipeline::MachineConfig::baseline();
-    const sim::Watchdog watchdog;
+    sim::StatsJob job;
+    job.machine = pipeline::MachineConfig::proposed();
+    job.maxInstructions = max_instructions;
+    job.verifyInvariants = with_checker;
+    job.checkpoint.emplace();
+    job.checkpoint->everyRetires = boundary_retires;
+    auto report = [&](const sim::StatsOutcome &out) {
+        return sim::statsReportJson("ckptdiff", "proposed", "", prog,
+                                    out.base, out.timed, out.telemetry);
+    };
 
-    // Reference: one uninterrupted run through the same checkpointed
-    // driver (with no snapshot path), so both sides share chunking.
-    std::string reference;
-    {
-        pipeline::LoadTelemetry telemetry;
-        InvariantChecker checker;
-        sim::CkptPolicy policy;
-        policy.everyRetires = boundary_retires;
-        sim::CkptStatsOutcome ref = sim::runTimedCheckpointed(
-            prog, machine, baseline, max_instructions, &telemetry,
-            with_checker ? &checker : nullptr, nullptr, watchdog,
-            policy);
-        if (with_checker)
-            checker.finish(ref.timed.pipe);
-        reference = sim::statsReportJson("ckptdiff", "proposed", "",
-                                         prog, ref.base, ref.timed,
-                                         telemetry);
-    }
+    // Reference: one uninterrupted run, chunked at the same
+    // boundaries but never snapshotted.
+    std::string reference = report(sim::runStats(prog, job));
 
     // Interrupted side: stop at the first boundary of every leg,
     // discard all live objects, restore from the file into fresh
-    // ones — the in-process equivalent of SIGKILL + re-exec.
+    // ones — the in-process equivalent of SIGKILL + re-exec. Legs
+    // after the first resume explicitly, so an unusable snapshot
+    // fails the check instead of silently starting over.
+    std::remove(ckpt_path.c_str());
+    job.checkpoint->path = ckpt_path;
+    job.checkpoint->interrupted = [] { return true; };
     std::string resumed;
-    {
-        std::string resume_from;
-        for (;;) {
-            pipeline::LoadTelemetry telemetry;
-            InvariantChecker checker;
-            sim::CkptPolicy policy;
-            policy.path = ckpt_path;
-            policy.everyRetires = boundary_retires;
-            bool stop = true;
-            policy.interrupted = [&stop] { return stop; };
-            sim::CkptStatsOutcome leg = sim::runTimedCheckpointed(
-                prog, machine, baseline, max_instructions, &telemetry,
-                with_checker ? &checker : nullptr, nullptr, watchdog,
-                policy, resume_from);
-            if (!leg.interrupted) {
-                if (with_checker)
-                    checker.finish(leg.timed.pipe);
-                resumed = sim::statsReportJson("ckptdiff", "proposed",
-                                               "", prog, leg.base,
-                                               leg.timed, telemetry);
-                break;
-            }
-            ++result.legs;
-            resume_from = ckpt_path;
+    for (;;) {
+        sim::StatsOutcome leg = sim::runStats(prog, job);
+        if (!leg.interrupted) {
+            resumed = report(leg);
+            break;
         }
+        ++result.legs;
+        job.resumeFrom = ckpt_path;
     }
 
     result.reference = reference;

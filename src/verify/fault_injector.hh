@@ -74,6 +74,20 @@ std::vector<std::string> gracefulPlanNames();
 std::vector<std::string> allPlanNames();
 
 /**
+ * splitmix64-style mixer deriving a per-run fault seed from a base
+ * seed and a run index. Soak checkpoints and campaign manifests
+ * record the seeds it produces, so its values must never change.
+ */
+inline uint64_t
+mixSeed(uint64_t base, uint64_t salt)
+{
+    uint64_t z = base + salt * 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/**
  * Seeded fault source. The hardware models query it at each decision
  * point; identical (plan, seed) pairs replay identical fault
  * sequences, so every soak failure is reproducible from its seed.

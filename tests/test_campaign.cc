@@ -505,4 +505,25 @@ TEST(CampaignE2E, MalformedNumericOptionIsUsageError)
     EXPECT_EQ(w.exitCode, 2);
 }
 
+TEST(CampaignE2E, UnknownNamesAreUsageErrorsBeforeAnyJob)
+{
+    for (const char *bad : {"--selection=bogus", "--machines=basline",
+                            "--machines=proposed,Proposed"}) {
+        std::string manifest = uniquePath("names");
+        std::vector<std::string> argv =
+            campaignArgv(manifest, "chaos", 2, 1);
+        argv.push_back(bad);
+        auto r = runSubprocess(argv);
+        ASSERT_EQ(r.status, SubprocessStatus::Exited) << bad;
+        EXPECT_EQ(r.exitCode, 2) << bad << ": " << r.err;
+        EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
+        // Rejected before scheduling: no manifest, no job record.
+        EXPECT_FALSE(std::ifstream(manifest).good()) << bad;
+    }
+    auto w = runSubprocess({ELAG_CAMPAIGN_BIN, "--worker",
+                            "--selection=bogus", "--plans=chaos"});
+    ASSERT_EQ(w.status, SubprocessStatus::Exited);
+    EXPECT_EQ(w.exitCode, 2) << w.err;
+}
+
 #endif // ELAG_CAMPAIGN_BIN

@@ -17,6 +17,7 @@
 #include "ckpt/serial.hh"
 #include "mem/memory.hh"
 #include "sim/ckpt_run.hh"
+#include "sim/stats_run.hh"
 #include "sim/simulator.hh"
 #include "support/stats.hh"
 #include "verify/ckpt_diff.hh"
@@ -400,36 +401,32 @@ TEST(CkptEquivalence, ResumeRejectsDifferentRunIdentity)
 {
     std::string path = tempPath("ckpt_identity.ckpt");
     sim::CompiledProgram prog = sim::compile(kProgram);
-    auto machine = pipeline::MachineConfig::proposed();
-    auto baseline = pipeline::MachineConfig::baseline();
-    pipeline::LoadTelemetry telemetry;
 
     // Interrupt at the first boundary to leave a snapshot behind.
-    sim::CkptPolicy policy;
-    policy.path = path;
-    policy.everyRetires = 10'000;
-    policy.interrupted = [] { return true; };
-    sim::CkptStatsOutcome out = sim::runTimedCheckpointed(
-        prog, machine, baseline, 500'000'000, &telemetry, nullptr,
-        nullptr, {}, policy);
+    sim::StatsJob job;
+    job.machine = pipeline::MachineConfig::proposed();
+    job.checkpoint.emplace();
+    job.checkpoint->path = path;
+    job.checkpoint->everyRetires = 10'000;
+    job.checkpoint->interrupted = [] { return true; };
+    std::remove(path.c_str());
+    sim::StatsOutcome out = sim::runStats(prog, job);
     ASSERT_TRUE(out.interrupted);
     ASSERT_TRUE(ckpt::fileExists(path));
 
     // Same snapshot, different instruction cap -> Mismatch.
-    pipeline::LoadTelemetry telemetry2;
-    sim::CkptPolicy resumePolicy;
-    expectCkptError(ErrorKind::Mismatch, [&] {
-        sim::runTimedCheckpointed(prog, machine, baseline, 999,
-                                  &telemetry2, nullptr, nullptr, {},
-                                  resumePolicy, path);
-    });
+    sim::StatsJob capped;
+    capped.machine = job.machine;
+    capped.maxInstructions = 999;
+    capped.resumeFrom = path;
+    expectCkptError(ErrorKind::Mismatch,
+                    [&] { sim::runStats(prog, capped); });
 
     // Same snapshot, different machine -> Mismatch.
-    pipeline::LoadTelemetry telemetry3;
-    expectCkptError(ErrorKind::Mismatch, [&] {
-        sim::runTimedCheckpointed(prog, baseline, baseline,
-                                  500'000'000, &telemetry3, nullptr,
-                                  nullptr, {}, resumePolicy, path);
-    });
+    sim::StatsJob other;
+    other.machine = pipeline::MachineConfig::baseline();
+    other.resumeFrom = path;
+    expectCkptError(ErrorKind::Mismatch,
+                    [&] { sim::runStats(prog, other); });
     std::remove(path.c_str());
 }

@@ -2,16 +2,15 @@
  * @file
  * Predecode + dispatch-engine tests.
  *
- * The contract under test: the computed-goto (threaded) and portable
- * switch dispatch loops are observably identical — same committed
+ * The contract under test: the predecoded switch engine and the
+ * legacy decode-as-you-go reference interpreter (which shares none of
+ * the predecode machinery) are observably identical — same committed
  * stream, same stats documents byte for byte, same guest traps —
- * because they share one set of handler bodies; and the legacy
- * decode-as-you-go reference interpreter (which shares none of the
- * predecode machinery) agrees with both, pinning the predecoder
- * against an independent oracle. Plus unit coverage of the predecoder
- * itself (flag words, handler specialization, branch target
- * pre-splitting, the past-the-end sentinel, the process-wide stream
- * cache) and the typed guest-fault taxonomy.
+ * pinning the predecoder against an independent oracle. Plus unit
+ * coverage of the predecoder itself (flag words, handler
+ * specialization, branch target pre-splitting, the past-the-end
+ * sentinel, the process-wide stream cache) and the typed guest-fault
+ * taxonomy.
  */
 
 #include <gtest/gtest.h>
@@ -36,17 +35,17 @@ namespace build = elag::isa::build;
 
 namespace {
 
-/** Restore the Auto dispatch mode however a test exits. */
+/** Restore the previous dispatch mode however a test exits. */
 struct DispatchModeGuard
 {
     explicit DispatchModeGuard(sim::DispatchMode mode)
+        : previous(sim::dispatchMode())
     {
         sim::setDispatchMode(mode);
     }
-    ~DispatchModeGuard()
-    {
-        sim::setDispatchMode(sim::DispatchMode::Auto);
-    }
+    ~DispatchModeGuard() { sim::setDispatchMode(previous); }
+
+    sim::DispatchMode previous;
 };
 
 /** Assemble a raw program (no globals). */
@@ -193,7 +192,7 @@ TEST(Predecode, StreamCacheSharesByContentHash)
 }
 
 // ---------------------------------------------------------------
-// Typed guest traps, under both dispatch modes.
+// Typed guest traps, under both engines.
 // ---------------------------------------------------------------
 
 class GuestTraps
@@ -203,16 +202,12 @@ class GuestTraps
     void
     SetUp() override
     {
-        if (GetParam() == sim::DispatchMode::Threaded &&
-            !sim::threadedDispatchCompiled()) {
-            GTEST_SKIP() << "threaded dispatch not compiled in";
-        }
         sim::setDispatchMode(GetParam());
     }
     void
     TearDown() override
     {
-        sim::setDispatchMode(sim::DispatchMode::Auto);
+        sim::setDispatchMode(sim::DispatchMode::Switch);
     }
 
     static sim::GuestTrapError
@@ -304,7 +299,7 @@ TEST_P(GuestTraps, BadOpcodeTrapsLazily)
 TEST_P(GuestTraps, TrapPreservesArchitecturalPc)
 {
     // After a trap, a checkpoint of the emulator must hold the
-    // faulting instruction's PC, in either dispatch mode.
+    // faulting instruction's PC, under either engine.
     auto prog = assemble({
         build::li(10, 7),
         build::rrr(Opcode::DIV, 11, 10, 0),
@@ -321,19 +316,14 @@ TEST_P(GuestTraps, TrapPreservesArchitecturalPc)
 INSTANTIATE_TEST_SUITE_P(
     Modes, GuestTraps,
     ::testing::Values(sim::DispatchMode::Switch,
-                      sim::DispatchMode::Threaded,
                       sim::DispatchMode::Legacy),
     [](const ::testing::TestParamInfo<sim::DispatchMode> &info) {
-        switch (info.param) {
-          case sim::DispatchMode::Switch: return "Switch";
-          case sim::DispatchMode::Threaded: return "Threaded";
-          default: return "Legacy";
-        }
+        return info.param == sim::DispatchMode::Switch ? "Switch"
+                                                       : "Legacy";
     });
 
 // ---------------------------------------------------------------
-// Differential: threaded vs. switch vs. legacy, byte-identical
-// stats.
+// Differential: switch vs. legacy, byte-identical stats.
 // ---------------------------------------------------------------
 
 TEST(DispatchDifferential, GeneratedProgramsMatchByteForByte)
@@ -355,13 +345,6 @@ TEST(DispatchDifferential, GeneratedProgramsMatchByteForByte)
         ASSERT_EQ(switched, legacy)
             << "legacy interpreter diverged on generated program "
             << i << " (seed 20260809)";
-        if (sim::threadedDispatchCompiled()) {
-            std::string threaded =
-                statsDocUnder(prog, sim::DispatchMode::Threaded);
-            ASSERT_EQ(switched, threaded)
-                << "dispatch modes diverged on generated program "
-                << i << " (seed 20260809)";
-        }
     }
 }
 
@@ -372,17 +355,15 @@ TEST(DispatchDifferential, FunctionalResultsMatchIncludingCap)
     verify::ProgramGen gen(77);
     sim::CompiledProgram prog = sim::compile(gen.generate());
 
-    std::vector<sim::DispatchMode> modes = {sim::DispatchMode::Switch,
-                                            sim::DispatchMode::Legacy};
-    if (sim::threadedDispatchCompiled())
-        modes.push_back(sim::DispatchMode::Threaded);
+    const sim::DispatchMode modes[] = {sim::DispatchMode::Switch,
+                                       sim::DispatchMode::Legacy};
 
     // Odd caps land mid-program: the capped PC, retire count, and
     // accumulated output must agree between modes.
     for (uint64_t cap : {1ull, 37ull, 10'001ull, 500'000'000ull}) {
         sim::EmulationResult ref;
         ckpt::Writer wref;
-        for (size_t m = 0; m < modes.size(); ++m) {
+        for (size_t m = 0; m < 2; ++m) {
             DispatchModeGuard guard(modes[m]);
             sim::Emulator emu(prog.code.program);
             sim::EmulationResult got = emu.run(cap);
@@ -413,15 +394,13 @@ TEST(DispatchDifferential, FunctionalResultsMatchIncludingCap)
 }
 
 // ---------------------------------------------------------------
-// Checkpointing under threaded dispatch.
+// Checkpointing across engines.
 // ---------------------------------------------------------------
 
-TEST(DispatchCkpt, KillResumeEquivalenceHoldsUnderThreadedDispatch)
+TEST(DispatchCkpt, KillResumeEquivalenceHoldsUnderLegacyDispatch)
 {
-    if (!sim::threadedDispatchCompiled())
-        GTEST_SKIP() << "threaded dispatch not compiled in";
     setQuiet(true);
-    DispatchModeGuard guard(sim::DispatchMode::Threaded);
+    DispatchModeGuard guard(sim::DispatchMode::Legacy);
     std::string path =
         std::string(::testing::TempDir()) + "dispatch_equiv.ckpt";
     verify::ProgramGen gen(4242);
@@ -434,12 +413,10 @@ TEST(DispatchCkpt, KillResumeEquivalenceHoldsUnderThreadedDispatch)
 
 TEST(DispatchCkpt, SnapshotCrossesDispatchModes)
 {
-    if (!sim::threadedDispatchCompiled())
-        GTEST_SKIP() << "threaded dispatch not compiled in";
     setQuiet(true);
-    // Checkpoint mid-run under threaded dispatch, restore and finish
-    // under switch dispatch: checkpoints carry architectural state
-    // only, so the mode must not matter.
+    // Checkpoint mid-run under the legacy interpreter, restore and
+    // finish under the switch engine: checkpoints carry architectural
+    // state only, so the engine must not matter.
     verify::ProgramGen gen(99);
     sim::CompiledProgram prog = sim::compile(gen.generate());
     auto machine = pipeline::MachineConfig::proposed();
@@ -454,15 +431,11 @@ TEST(DispatchCkpt, SnapshotCrossesDispatchModes)
         half = total / 2;
     }
 
-    sim::TimedResult whole;
-    {
-        DispatchModeGuard guard(sim::DispatchMode::Threaded);
-        whole = sim::runTimed(prog, machine);
-    }
+    sim::TimedResult whole = sim::runTimed(prog, machine);
 
     ckpt::Writer w;
     {
-        DispatchModeGuard guard(sim::DispatchMode::Threaded);
+        DispatchModeGuard guard(sim::DispatchMode::Legacy);
         sim::ResumableTimedRun run(prog, machine, 500'000'000);
         run.step(half, {});
         ASSERT_FALSE(run.done());

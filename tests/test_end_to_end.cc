@@ -9,6 +9,7 @@
 #include "pipeline/config.hh"
 #include "sim/simulator.hh"
 #include "support/logging.hh"
+#include "support/subprocess.hh"
 #include "verify/invariant_checker.hh"
 
 using namespace elag;
@@ -200,3 +201,23 @@ TEST(EndToEnd, ProfileRunRates)
     // Strided loads profile as highly predictable.
     EXPECT_GT(profile.predict.rate(), 0.8);
 }
+
+#ifdef ELAG_ELAGC_BIN
+
+TEST(EndToEnd, ElagcRejectsUnknownNamesBeforeCompiling)
+{
+    // A valid workload, so any output at all would mean elagc went
+    // on to compile (the "compiled:" banner) or simulate it.
+    for (const char *bad : {"--machine=basline", "--machine=Proposed",
+                            "--selection=bogus"}) {
+        auto r = runSubprocess({ELAG_ELAGC_BIN, "--workload=adpcm_enc",
+                                "--json-stats=-", bad});
+        ASSERT_EQ(r.status, SubprocessStatus::Exited) << bad;
+        EXPECT_EQ(r.exitCode, 2) << bad << ": " << r.err;
+        EXPECT_EQ(r.out, "") << bad;
+        EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
+        EXPECT_EQ(r.err.find("compiled:"), std::string::npos) << r.err;
+    }
+}
+
+#endif // ELAG_ELAGC_BIN

@@ -247,6 +247,63 @@ TEST(Protocol, RejectsMalformedRequests)
     EXPECT_FALSE(parsed.verb.empty() && error.empty());
 }
 
+/** Unknown machine and policy names, as request members. */
+const char *const kBadNameMembers[] = {
+    "\"machine\": \"basline\"",
+    "\"machine\": \"Proposed\"",
+    "\"selection\": \"bogus\"",
+};
+
+TEST(Protocol, RejectsUnknownMachineAndSelectionNames)
+{
+    for (const char *member : kBadNameMembers) {
+        Request parsed;
+        std::string error;
+        std::string doc = std::string("{\"verb\": \"simulate\", ") +
+                          member + ", \"source\": \"int main() {}\"}";
+        EXPECT_FALSE(parseRequest(doc, parsed, error)) << member;
+        EXPECT_NE(error.find("unknown"), std::string::npos) << error;
+    }
+    // Known names still parse, table/regs sizes included.
+    Request parsed;
+    std::string error;
+    EXPECT_TRUE(parseRequest(
+        "{\"verb\": \"simulate\", \"machine\": \"baseline\", "
+        "\"selection\": \"all-early\", \"regs\": 4}",
+        parsed, error))
+        << error;
+}
+
+TEST(Serve, UnknownMachineAndSelectionNamesAreBadRequests)
+{
+    setQuiet(true);
+    parallel::ThreadPool pool(2);
+    ServerConfig config;
+    config.socketPath = testSocketPath();
+    config.pool = &pool;
+    Server server(config);
+    server.start();
+
+    Client client = Client::connectTo(config.socketPath);
+    Request basline = simulateRequest(kTinyProgram);
+    basline.machine = "basline";
+    Request capitalized = simulateRequest(kTinyProgram);
+    capitalized.machine = "Proposed";
+    Request bogus = simulateRequest(kTinyProgram);
+    bogus.selection = "bogus";
+    for (const Request &request : {basline, capitalized, bogus}) {
+        Response response = client.call(request);
+        EXPECT_FALSE(response.ok) << request.machine;
+        EXPECT_EQ(response.errorType, errtype::BadRequest)
+            << response.errorMessage;
+    }
+    // The connection stays usable for a well-formed request.
+    EXPECT_TRUE(client.call(simulateRequest(kTinyProgram)).ok);
+
+    server.beginDrain();
+    server.wait();
+}
+
 TEST(Protocol, ResponseEnvelopesRoundTrip)
 {
     Request request;

@@ -512,6 +512,29 @@ TEST(ShardE2E, SigkilledWorkerNeverTakesDownService)
     daemon.drain(control);
 }
 
+TEST(ShardE2E, UnknownMachineAndSelectionNamesAreBadRequests)
+{
+    setQuiet(true);
+    std::string socket = testSocketPath();
+    Daemon daemon({ELAG_ELAGD_BIN, "--socket=" + socket,
+                   "--shards=2", "--quiet"});
+    Client control = awaitDaemon(socket);
+
+    // The supervisor rejects the names before routing, with the
+    // same typed error the embedded server sends.
+    Request basline = workRequest(kArrayProgram);
+    basline.machine = "basline";
+    Request bogus = workRequest(kArrayProgram);
+    bogus.selection = "bogus";
+    for (const Request &request : {basline, bogus}) {
+        Response response = control.call(request);
+        EXPECT_FALSE(response.ok);
+        EXPECT_EQ(response.errorType, errtype::BadRequest)
+            << response.errorMessage;
+    }
+    daemon.drain(control);
+}
+
 TEST(ShardE2E, PoisonRequestIsQuarantinedNotFatal)
 {
     setQuiet(true);

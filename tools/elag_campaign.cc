@@ -39,9 +39,10 @@
  * (failed, then passed on retry), start-failed.
  *
  * Exit codes: 0 campaign green, 1 completed with failing jobs,
- * 2 usage, 3 incomplete (--max-jobs stop), 130/143 interrupted by
- * SIGINT/SIGTERM (manifest flushed first). Worker mode mirrors elagc:
- * 0/1/70/75.
+ * 2 usage (an unknown machine or selection name included, rejected
+ * before any job is scheduled), 3 incomplete (--max-jobs stop),
+ * 130/143 interrupted by SIGINT/SIGTERM (manifest flushed first).
+ * Worker mode mirrors elagc: 0/1/2/70/75.
  */
 
 #include <algorithm>
@@ -70,6 +71,7 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "sim/simulator.hh"
+#include "sim/stats_run.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -102,16 +104,6 @@ installStopHandlers()
     sa.sa_handler = onStopSignal;
     sigaction(SIGINT, &sa, nullptr);
     sigaction(SIGTERM, &sa, nullptr);
-}
-
-/** splitmix64-style mixer for derived per-run fault seeds. */
-uint64_t
-mixSeed(uint64_t base, uint64_t salt)
-{
-    uint64_t z = base + salt * 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
 }
 
 uint64_t
@@ -163,6 +155,8 @@ struct WorkerOptions
     std::vector<uint64_t> genPick; ///< offsets to run; empty = all
     std::string machine = "proposed";
     std::string selection;
+    /** Built from machine/selection by workerMain. */
+    pipeline::MachineConfig machineConfig;
     std::vector<std::string> plans;
     uint64_t injectSeed = 1;
     uint64_t maxInst = 20'000'000;
@@ -231,34 +225,6 @@ loadWorkerCheckpoint(const WorkerOptions &opts, uint64_t &runs,
     faults_fired = prog.varint();
     events_checked = prog.varint();
     return completed;
-}
-
-bool
-sameArchitecture(const sim::EmulationResult &a,
-                 const sim::EmulationResult &b)
-{
-    return a.output == b.output && a.exitValue == b.exitValue &&
-           a.instructions == b.instructions && a.halted == b.halted;
-}
-
-pipeline::MachineConfig
-workerMachine(const WorkerOptions &opts)
-{
-    pipeline::MachineConfig cfg =
-        opts.machine == "baseline"
-            ? pipeline::MachineConfig::baseline()
-            : pipeline::MachineConfig::proposed();
-    if (opts.selection == "compiler")
-        cfg.selection = pipeline::SelectionPolicy::CompilerSpec;
-    else if (opts.selection == "ev")
-        cfg.selection = pipeline::SelectionPolicy::EvSelect;
-    else if (opts.selection == "all-predict")
-        cfg.selection = pipeline::SelectionPolicy::AllPredict;
-    else if (opts.selection == "all-early")
-        cfg.selection = pipeline::SelectionPolicy::AllEarlyCalc;
-    else if (!opts.selection.empty())
-        fatal("unknown selection policy '%s'", opts.selection.c_str());
-    return cfg;
 }
 
 [[noreturn]] void
@@ -365,10 +331,10 @@ runWorker(const WorkerOptions &opts)
         auto base =
             sim::runTimed(prog, pipeline::MachineConfig::baseline(),
                           opts.maxInst, {}, watchdog);
-        pipeline::MachineConfig mcfg = workerMachine(opts);
         verify::InvariantChecker cleanChecker;
-        auto clean = sim::runTimed(prog, mcfg, opts.maxInst,
-                                   {&cleanChecker}, watchdog);
+        auto clean = sim::runTimed(prog, opts.machineConfig,
+                                   opts.maxInst, {&cleanChecker},
+                                   watchdog);
         cleanChecker.finish(clean.pipe);
         eventsChecked += cleanChecker.eventsChecked();
         runs += 2;
@@ -379,7 +345,7 @@ runWorker(const WorkerOptions &opts)
                          static_cast<unsigned long long>(indices[s]));
             return 1;
         }
-        if (!sameArchitecture(base.emulation, clean.emulation)) {
+        if (!sim::sameArchitecture(base.emulation, clean.emulation)) {
             std::fprintf(stderr,
                          "worker: program %llu: baseline and %s "
                          "machine diverged on the clean run\n",
@@ -409,7 +375,7 @@ runWorker(const WorkerOptions &opts)
             }
 
             verify::FaultPlan plan = verify::planByName(planName);
-            pipeline::MachineConfig cfg = workerMachine(opts);
+            pipeline::MachineConfig cfg = opts.machineConfig;
             // Deliberate-bug plans must trip deterministically (the
             // soak self-check forces the same knobs): route every
             // load through the bypassed check and force the guarded
@@ -422,7 +388,7 @@ runWorker(const WorkerOptions &opts)
                     plan.forceInterlockRate = 1.0;
             }
             verify::FaultInjector injector(
-                plan, mixSeed(opts.injectSeed, indices[s] * 64 + pl));
+                plan, verify::mixSeed(opts.injectSeed, indices[s] * 64 + pl));
             cfg.faultInjector = &injector;
             verify::InvariantChecker checker;
             auto faulted = sim::runTimed(prog, cfg, opts.maxInst,
@@ -431,7 +397,7 @@ runWorker(const WorkerOptions &opts)
             ++runs;
             eventsChecked += checker.eventsChecked();
             faultsFired += injector.counts().total();
-            if (!sameArchitecture(faulted.emulation, clean.emulation)) {
+            if (!sim::sameArchitecture(faulted.emulation, clean.emulation)) {
                 std::fprintf(
                     stderr,
                     "worker: MISMATCH program %llu plan %s: "
@@ -696,7 +662,7 @@ Coordinator::buildMatrix() const
                 job.argv.push_back("--plans=" + joinStrings(group, ","));
                 job.argv.push_back(
                     "--inject-seed=" +
-                    std::to_string(mixSeed(opts.seed, fnv1a64(name))));
+                    std::to_string(verify::mixSeed(opts.seed, fnv1a64(name))));
                 attachCheckpoint(job);
                 jobs.push_back(std::move(job));
             }
@@ -717,7 +683,7 @@ Coordinator::buildMatrix() const
                                    joinStrings(group, ","));
                 job.argv.push_back(
                     "--inject-seed=" +
-                    std::to_string(mixSeed(opts.seed, fnv1a64(path))));
+                    std::to_string(verify::mixSeed(opts.seed, fnv1a64(path))));
                 attachCheckpoint(job);
                 jobs.push_back(std::move(job));
             }
@@ -745,7 +711,7 @@ Coordinator::buildMatrix() const
                 job.argv.push_back("--plans=" + joinStrings(group, ","));
                 job.argv.push_back(
                     "--inject-seed=" +
-                    std::to_string(mixSeed(opts.seed, 1000 + skip)));
+                    std::to_string(verify::mixSeed(opts.seed, 1000 + skip)));
                 attachCheckpoint(job);
                 jobs.push_back(std::move(job));
             }
@@ -1253,6 +1219,13 @@ workerMain(int argc, char **argv)
             return 2;
         }
     }
+    std::string error;
+    if (!sim::parseMachine(opts.machine, opts.selection, 0, 0,
+                           opts.machineConfig, error)) {
+        std::fprintf(stderr, "elag_campaign: %s\n", error.c_str());
+        usage();
+        return 2;
+    }
     try {
         return runWorker(opts);
     } catch (const sim::SimTimeoutError &e) {
@@ -1363,9 +1336,12 @@ coordinatorMain(int argc, char **argv)
         }
     }
     for (const std::string &machine : opts.machines) {
-        if (machine != "baseline" && machine != "proposed") {
-            std::fprintf(stderr, "unknown machine '%s'\n",
-                         machine.c_str());
+        pipeline::MachineConfig config;
+        std::string error;
+        if (!sim::parseMachine(machine, opts.selection, 0, 0, config,
+                               error)) {
+            std::fprintf(stderr, "elag_campaign: %s\n", error.c_str());
+            usage();
             return 2;
         }
     }

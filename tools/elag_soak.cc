@@ -155,24 +155,6 @@ installStopHandlers()
     sigaction(SIGTERM, &sa, nullptr);
 }
 
-/** splitmix64-style mixer for derived per-run fault seeds. */
-uint64_t
-mixSeed(uint64_t base, uint64_t salt)
-{
-    uint64_t z = base + salt * 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-bool
-sameArchitecture(const sim::EmulationResult &a,
-                 const sim::EmulationResult &b)
-{
-    return a.output == b.output && a.exitValue == b.exitValue &&
-           a.instructions == b.instructions && a.halted == b.halted;
-}
-
 struct SoakTotals
 {
     uint64_t runs = 0;
@@ -459,7 +441,7 @@ main(int argc, char **argv)
                     return 1;
                 }
             }
-            if (!sameArchitecture(reference[0], reference[1])) {
+            if (!sim::sameArchitecture(reference[0], reference[1])) {
                 std::fprintf(stderr,
                              "program %llu: baseline and proposed "
                              "emulation diverged\n",
@@ -474,7 +456,7 @@ main(int argc, char **argv)
                     verify::planByName(opts.plans[pl]);
                 for (int m = 0; m < 2; ++m) {
                     verify::FaultInjector injector(
-                        plan, mixSeed(opts.seed,
+                        plan, verify::mixSeed(opts.seed,
                                       p * 64 + pl * 2 +
                                           static_cast<uint64_t>(m)));
                     pipeline::MachineConfig cfg = machines[m].cfg;
@@ -489,7 +471,7 @@ main(int argc, char **argv)
                     totals.faultsFired += injector.counts().total();
                     if (faulted.pipe.cycles != cleanCycles[m])
                         ++totals.timingMoved;
-                    if (!sameArchitecture(faulted.emulation,
+                    if (!sim::sameArchitecture(faulted.emulation,
                                           reference[m])) {
                         ++totals.mismatches;
                         std::fprintf(

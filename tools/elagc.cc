@@ -49,7 +49,9 @@
  *   produce byte-identical --json-stats to uninterrupted ones.
  *
  * Exit codes: 0 success (or the program's exit value), 1 user error
- * (FatalError), 2 usage, 3 instruction cap reached, 65 unusable
+ * (FatalError), 2 usage (an unknown --machine or --selection name
+ * included, rejected before compiling), 3 instruction cap reached,
+ * 65 unusable
  * checkpoint under --resume-from, 70 guest fault (GuestTrapError:
  * the simulated program divided by zero, jumped to a wild PC,
  * accessed memory out of range, or hit a bad opcode) or invariant
@@ -64,20 +66,15 @@
 #include <sstream>
 #include <string>
 
-#include <optional>
-
 #include "ckpt/checkpoint.hh"
 #include "isa/disasm.hh"
 #include "obs/span.hh"
-#include "sim/ckpt_run.hh"
-#include "sim/decoded.hh"
 #include "sim/simulator.hh"
+#include "sim/stats_run.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 #include "support/trace.hh"
-#include "verify/fault_injector.hh"
-#include "verify/invariant_checker.hh"
 #include "workloads/synthetic/scenario.hh"
 #include "workloads/workloads.hh"
 
@@ -108,12 +105,14 @@ struct Options
     // Robustness harness.
     bool verifyInvariants = false;
     std::string inject; ///< fault plan name, empty for none
-    uint64_t seed = 0x853c49e6748fea9bULL; ///< the default PCG32 seed
+    uint64_t seed = sim::kDefaultInjectSeed;
     uint64_t maxCycles = 0; ///< watchdog; 0 = unlimited
     // Crash-safe checkpointing.
     std::string checkpointDir;  ///< snapshot dir; empty = disabled
     uint64_t checkpointEvery = 0; ///< retires between snapshots
     std::string resumeFrom;     ///< explicit snapshot to resume from
+    /** Built from machine/selection/table/regs by parseArgs. */
+    pipeline::MachineConfig machineConfig;
 };
 
 /** Last delivery of SIGINT/SIGTERM to a checkpointed run. */
@@ -242,6 +241,12 @@ parseArgs(int argc, char **argv, Options &opts)
     }
     if (opts.listWorkloads)
         return true;
+    std::string error;
+    if (!sim::parseMachine(opts.machine, opts.selection, opts.table,
+                           opts.regs, opts.machineConfig, error)) {
+        std::fprintf(stderr, "elagc: %s\n", error.c_str());
+        return false;
+    }
     if (!opts.file.empty() && !opts.workload.empty()) {
         std::fprintf(stderr,
                      "elagc: --workload= and a source file are "
@@ -264,34 +269,6 @@ listWorkloads()
     std::printf("\nsynthetic kernel families (elag_workgen):\n");
     for (const auto &info : workloads::synthetic::kernelFamilies())
         std::printf("  %-10s %s\n", info.name, info.description);
-}
-
-pipeline::MachineConfig
-machineFor(const Options &opts)
-{
-    pipeline::MachineConfig cfg =
-        opts.machine == "baseline"
-            ? pipeline::MachineConfig::baseline()
-            : pipeline::MachineConfig::proposed();
-    if (opts.table) {
-        cfg.addressTableEnabled = true;
-        cfg.addressTableEntries = opts.table;
-    }
-    if (opts.regs) {
-        cfg.earlyCalcEnabled = true;
-        cfg.registerCacheSize = opts.regs;
-    }
-    if (opts.selection == "compiler")
-        cfg.selection = pipeline::SelectionPolicy::CompilerSpec;
-    else if (opts.selection == "ev")
-        cfg.selection = pipeline::SelectionPolicy::EvSelect;
-    else if (opts.selection == "all-predict")
-        cfg.selection = pipeline::SelectionPolicy::AllPredict;
-    else if (opts.selection == "all-early")
-        cfg.selection = pipeline::SelectionPolicy::AllEarlyCalc;
-    else if (!opts.selection.empty())
-        fatal("unknown selection policy '%s'", opts.selection.c_str());
-    return cfg;
 }
 
 void
@@ -482,158 +459,85 @@ main(int argc, char **argv)
         if (opts.stats || opts.loadReport || !opts.jsonStats.empty() ||
             opts.verifyInvariants || !opts.inject.empty() ||
             opts.maxCycles > 0) {
-            pipeline::LoadTelemetry telemetry;
-            sim::Watchdog watchdog;
-            watchdog.maxCycles = opts.maxCycles;
-
-            // Faults perturb only the machine under test; the
-            // baseline reference stays clean.
-            pipeline::MachineConfig mcfg = machineFor(opts);
-            std::optional<verify::FaultInjector> injector;
-            if (!opts.inject.empty()) {
-                injector.emplace(verify::planByName(opts.inject),
-                                 opts.seed);
-                mcfg.faultInjector = &*injector;
-            }
-            verify::InvariantChecker checker;
-            std::vector<pipeline::Observer *> observers{&telemetry};
-            if (opts.verifyInvariants)
-                observers.push_back(&checker);
-
-            sim::TimedResult base, timed;
-            const bool checkpointed = !opts.checkpointDir.empty() ||
-                                      !opts.resumeFrom.empty() ||
-                                      opts.checkpointEvery > 0;
-            if (!checkpointed) {
-                base = sim::runTimed(
-                    prog, pipeline::MachineConfig::baseline(),
-                    opts.maxInst, {}, watchdog);
-                timed = sim::runTimed(prog, mcfg, opts.maxInst,
-                                      observers, watchdog);
-            } else {
+            sim::StatsJob job;
+            job.machine = opts.machineConfig;
+            job.maxInstructions = opts.maxInst;
+            job.watchdog.maxCycles = opts.maxCycles;
+            job.verifyInvariants = opts.verifyInvariants;
+            job.inject = opts.inject;
+            job.seed = opts.seed;
+            job.resumeFrom = opts.resumeFrom;
+            if (!opts.checkpointDir.empty() || !opts.resumeFrom.empty() ||
+                opts.checkpointEvery > 0) {
                 std::signal(SIGINT, onSignal);
                 std::signal(SIGTERM, onSignal);
-
-                verify::InvariantChecker *chk =
-                    opts.verifyInvariants ? &checker : nullptr;
-                verify::FaultInjector *inj =
-                    injector ? &*injector : nullptr;
-                auto baselineCfg = pipeline::MachineConfig::baseline();
-
-                sim::CkptPolicy policy;
+                sim::CkptPolicy &policy = job.checkpoint.emplace();
                 policy.everyRetires = opts.checkpointEvery;
                 policy.interrupted = [] { return signalSeen != 0; };
-
                 // Auto-resume snapshots are named by run identity, so
                 // re-running the identical command finds its own file
                 // and nothing else's.
-                std::string resume = opts.resumeFrom;
                 if (!opts.checkpointDir.empty()) {
-                    sim::CkptRunKey key = sim::makeRunKey(
-                        prog, mcfg, baselineCfg, opts.maxInst,
-                        chk != nullptr, inj);
                     policy.path = formatString(
                         "%s/elagc-%016llx.ckpt",
                         opts.checkpointDir.c_str(),
-                        static_cast<unsigned long long>(
-                            sim::hashRunKey(key)));
-                    if (resume.empty() &&
-                        ckpt::fileExists(policy.path)) {
-                        resume = policy.path;
-                    }
+                        static_cast<unsigned long long>(sim::hashRunKey(
+                            sim::makeRunKey(prog, job))));
                 }
-
-                sim::CkptStatsOutcome outcome;
-                try {
-                    outcome = sim::runTimedCheckpointed(
-                        prog, mcfg, baselineCfg, opts.maxInst,
-                        &telemetry, chk, inj, watchdog, policy,
-                        resume);
-                } catch (const ckpt::CkptError &e) {
-                    if (!opts.resumeFrom.empty()) {
-                        // Explicit resume: rejection is fatal and
-                        // typed, never silently restored past.
-                        std::fprintf(
-                            stderr,
-                            "elagc: cannot resume from '%s' (%s): "
-                            "%s\n",
-                            opts.resumeFrom.c_str(),
-                            ckpt::name(e.kind()), e.what());
-                        writeErrorDoc(opts, "bad_checkpoint",
-                                      e.what(), 65);
-                        return 65;
-                    }
-                    // Auto-resume: an unusable snapshot costs the
-                    // saved progress, not the run. A failed restore
-                    // may have partially mutated the observers, so
-                    // reset them before the clean attempt.
-                    warn("unusable checkpoint '%s' (%s): %s; "
-                         "starting clean",
-                         resume.c_str(), ckpt::name(e.kind()),
-                         e.what());
-                    telemetry.reset();
-                    checker = verify::InvariantChecker{};
-                    if (injector) {
-                        injector.emplace(
-                            verify::planByName(opts.inject),
-                            opts.seed);
-                    }
-                    outcome = sim::runTimedCheckpointed(
-                        prog, mcfg, baselineCfg, opts.maxInst,
-                        &telemetry, chk, inj, watchdog, policy, "");
-                }
-
-                if (outcome.interrupted) {
-                    int sig = static_cast<int>(signalSeen);
-                    std::fprintf(
-                        stderr,
-                        "elagc: interrupted by signal %d after %u "
-                        "snapshot(s); resume with the same command%s\n",
-                        sig, outcome.snapshots,
-                        policy.path.empty() ? ""
-                                            : (" or --resume-from=" +
-                                               policy.path)
-                                                  .c_str());
-                    return sig == SIGINT ? 130 : 143;
-                }
-                if (outcome.resumed) {
-                    inform("resumed from checkpoint '%s'",
-                           resume.c_str());
-                }
-                base = outcome.base;
-                timed = outcome.timed;
             }
 
+            sim::StatsOutcome out;
+            try {
+                out = sim::runStats(prog, job);
+            } catch (const ckpt::CkptError &e) {
+                // Explicit resume: rejection is fatal and typed, never
+                // silently restored past.
+                std::fprintf(stderr,
+                             "elagc: cannot resume from '%s' (%s): %s\n",
+                             opts.resumeFrom.c_str(),
+                             ckpt::name(e.kind()), e.what());
+                writeErrorDoc(opts, "bad_checkpoint", e.what(), 65);
+                return 65;
+            }
+            if (out.interrupted) {
+                int sig = static_cast<int>(signalSeen);
+                const std::string &path = job.checkpoint->path;
+                std::fprintf(
+                    stderr,
+                    "elagc: interrupted by signal %d after %u "
+                    "snapshot(s); resume with the same command%s\n",
+                    sig, out.snapshots,
+                    path.empty() ? "" : (" or --resume-from=" + path)
+                                            .c_str());
+                return sig == SIGINT ? 130 : 143;
+            }
             if (opts.verifyInvariants) {
-                checker.finish(timed.pipe);
                 std::fprintf(
                     text,
                     "invariants: %llu events checked, 0 violations\n",
-                    static_cast<unsigned long long>(
-                        checker.eventsChecked()));
+                    static_cast<unsigned long long>(out.eventsChecked));
             }
-            if (injector) {
+            if (!opts.inject.empty()) {
                 std::fprintf(
                     text,
                     "faults: plan %s seed %llu fired %llu times\n",
-                    injector->plan().name.c_str(),
-                    static_cast<unsigned long long>(injector->seed()),
-                    static_cast<unsigned long long>(
-                        injector->counts().total()));
+                    opts.inject.c_str(),
+                    static_cast<unsigned long long>(opts.seed),
+                    static_cast<unsigned long long>(out.faultsFired));
             }
 
             if (opts.stats)
-                printStatsText(text, base, timed);
+                printStatsText(text, out.base, out.timed);
             if (opts.loadReport) {
                 std::fprintf(
                     text, "\nper-PC load telemetry (%s machine):\n%s",
                     opts.machine.c_str(),
-                    sim::loadReportText(prog, telemetry).c_str());
+                    sim::loadReportText(prog, out.telemetry).c_str());
             }
             if (!opts.jsonStats.empty()) {
                 std::string doc = sim::statsReportJson(
                     opts.file, opts.machine, opts.selection, prog,
-                    base, timed, telemetry);
+                    out.base, out.timed, out.telemetry);
                 if (opts.jsonStats == "-") {
                     std::fwrite(doc.data(), 1, doc.size(), stdout);
                     std::fputc('\n', stdout);
