@@ -42,8 +42,12 @@
 namespace elag {
 namespace ckpt {
 
-/** Current container format version. */
-constexpr uint32_t kFormatVersion = 1;
+/**
+ * Current container format version. 2: the pipeline section carries
+ * the one-cycle issue bookings, an 8-slot D$ port ring and the
+ * in-flight store ring instead of the 1024-slot booking ring.
+ */
+constexpr uint32_t kFormatVersion = 2;
 
 /** Section tag from a 4-character literal, e.g. tag("META"). */
 constexpr uint32_t

@@ -45,12 +45,13 @@ Cache::findLine(uint32_t addr) const
 }
 
 CacheAccessResult
-Cache::access(uint32_t addr, uint64_t cycle, bool allocate_on_miss,
+Cache::lookup(uint32_t addr, uint64_t cycle, bool allocate_on_miss,
               uint32_t extra_penalty)
 {
     CacheAccessResult result;
     Line *line = findLine(addr);
     if (line) {
+        remember(blockFor(addr), line);
         line->lastUsed = cycle;
         if (line->fillDone <= cycle) {
             ++numHits;
@@ -87,6 +88,7 @@ Cache::access(uint32_t addr, uint64_t cycle, bool allocate_on_miss,
         victim->tag = tagFor(block);
         victim->lastUsed = cycle;
         victim->fillDone = result.readyCycle;
+        remember(block, victim);
     }
     return result;
 }
@@ -104,6 +106,7 @@ Cache::reset()
     for (auto &line : lines)
         line = Line();
     numHits = numMisses = numMerges = 0;
+    recentBlock = kNoBlock;
 }
 
 Btb::Btb(uint32_t num_entries)
@@ -195,6 +198,7 @@ Cache::restore(ckpt::Reader &r)
     numHits = r.varint();
     numMisses = r.varint();
     numMerges = r.varint();
+    recentBlock = kNoBlock;
 }
 
 void

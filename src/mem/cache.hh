@@ -13,6 +13,7 @@
 #define ELAG_MEM_CACHE_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -64,10 +65,25 @@ class Cache
      * @param extra_penalty additional cycles added to the fill of a
      *        newly-missing block (fault-injected latency jitter);
      *        hits and fill merges are unaffected.
+     *
+     * A completed hit on the most recently found or allocated block
+     * is answered inline; every other access takes the out-of-line
+     * lookup. Both paths book the same hit, LRU stamp and result.
      */
-    CacheAccessResult access(uint32_t addr, uint64_t cycle,
-                             bool allocate_on_miss = true,
-                             uint32_t extra_penalty = 0);
+    CacheAccessResult
+    access(uint32_t addr, uint64_t cycle, bool allocate_on_miss = true,
+           uint32_t extra_penalty = 0)
+    {
+        if (blockFor(addr) == recentBlock) {
+            Line &line = lines[recentLine];
+            if (line.fillDone <= cycle) {
+                line.lastUsed = cycle;
+                ++numHits;
+                return {true, cycle, false};
+            }
+        }
+        return lookup(addr, cycle, allocate_on_miss, extra_penalty);
+    }
 
     /** @return true if @p addr would hit right now (no state change,
      *  in-flight fills count as hits only once complete). */
@@ -118,6 +134,20 @@ class Cache
     }
     Line *findLine(uint32_t addr);
     const Line *findLine(uint32_t addr) const;
+    /** The full access: set lookup, merge, miss and allocation. */
+    CacheAccessResult lookup(uint32_t addr, uint64_t cycle,
+                             bool allocate_on_miss,
+                             uint32_t extra_penalty);
+    /** Remember @p line as holding @p block (the inline hit test). */
+    void
+    remember(uint32_t block, const Line *line)
+    {
+        recentBlock = block;
+        recentLine = static_cast<size_t>(line - lines.data());
+    }
+
+    /** recentBlock value that matches no block. */
+    static constexpr uint64_t kNoBlock = ~0ull;
 
     CacheConfig cfg;
     uint32_t numSets;
@@ -129,6 +159,14 @@ class Cache
     uint64_t numHits = 0;
     uint64_t numMisses = 0;
     uint64_t numMerges = 0;
+    /**
+     * The block last found or allocated, and the index of its line.
+     * Only the out-of-line lookup changes a line's block, and it
+     * re-points these whenever it does, so the pair never goes stale.
+     * An index, not a pointer, so a copied Cache stays valid.
+     */
+    uint64_t recentBlock = kNoBlock;
+    size_t recentLine = 0;
 };
 
 /**

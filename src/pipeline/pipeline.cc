@@ -1,6 +1,8 @@
 #include "pipeline/pipeline.hh"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "ckpt/serial.hh"
 #include "isa/disasm.hh"
@@ -14,6 +16,19 @@ using isa::FuClass;
 using isa::Instruction;
 using isa::Opcode;
 
+namespace {
+
+/** Initial in-flight store ring capacity (a power of two). */
+constexpr size_t kStoreRingInit = 256;
+
+constexpr size_t
+fuIndex(FuClass fu)
+{
+    return static_cast<size_t>(fu);
+}
+
+} // anonymous namespace
+
 Pipeline::Pipeline(const MachineConfig &config)
     : cfg(config),
       icache(config.icache),
@@ -23,13 +38,31 @@ Pipeline::Pipeline(const MachineConfig &config)
             config.tablePredictsWhileLearning),
       regCache(config.registerCacheSize),
       faults(config.faultInjector),
-      books(BookRingSize),
+      stores(kStoreRingInit),
       tcPipeline(trace::channel("pipeline")),
       tcPredict(trace::channel("predict")),
       tcRaddr(trace::channel("raddr")),
       tcCache(trace::channel("cache"))
 {
     table.setFaultInjector(faults);
+    fuLimit[fuIndex(FuClass::IntAlu)] = cfg.intAlus;
+    fuLimit[fuIndex(FuClass::MemPort)] = cfg.memPorts;
+    fuLimit[fuIndex(FuClass::FpAlu)] = cfg.fpAlus;
+    fuLimit[fuIndex(FuClass::Branch)] = cfg.branchUnits;
+    fuLimit[fuIndex(FuClass::None)] = std::numeric_limits<int>::max();
+
+    auto set_latency = [this](std::initializer_list<Opcode> ops,
+                              int cycles) {
+        for (Opcode op : ops)
+            latency[static_cast<size_t>(op)] =
+                static_cast<uint64_t>(cycles);
+    };
+    latency.fill(static_cast<uint64_t>(cfg.aluLatency));
+    set_latency({Opcode::MUL}, cfg.mulLatency);
+    set_latency({Opcode::DIV, Opcode::REM}, cfg.divLatency);
+    set_latency({Opcode::FADD, Opcode::FSUB, Opcode::FMUL, Opcode::FDIV,
+                 Opcode::CVTIF, Opcode::CVTFI},
+                cfg.fpLatency);
 }
 
 void
@@ -51,90 +84,66 @@ Pipeline::notifyStall(const RetiredInst &ri, StallKind kind,
         o->onStall(ri, kind, cycles);
 }
 
-Pipeline::CycleUse &
-Pipeline::use(uint64_t cycle)
+int &
+Pipeline::portsAt(uint64_t cycle)
 {
-    BookSlot &slot = books[cycle & (BookRingSize - 1)];
+    PortSlot &slot = ports[cycle & (kPortRing - 1)];
     if (slot.cycle != cycle) {
         slot.cycle = cycle;
-        slot.use = CycleUse{};
+        slot.used = 0;
     }
-    return slot.use;
+    return slot.used;
 }
 
 void
-Pipeline::pruneStores(uint64_t before)
+Pipeline::pushStore(const InFlightStore &store, uint64_t e)
 {
-    while (!inFlightStores.empty() &&
-           inFlightStores.front().writeCycle + 4 < before) {
-        inFlightStores.pop_front();
+    size_t mask = stores.size() - 1;
+    // A store visible for more than 68 cycles cannot interlock any
+    // load still to come (their ID1 is at or after e-2).
+    while (storeCount > 0 && e > 64 &&
+           stores[storeHead].writeCycle + 4 < e - 64) {
+        storeHead = (storeHead + 1) & mask;
+        --storeCount;
     }
+    if (storeCount == stores.size()) {
+        std::vector<InFlightStore> grown(stores.size() * 2);
+        for (size_t i = 0; i < storeCount; ++i)
+            grown[i] = stores[(storeHead + i) & mask];
+        stores.swap(grown);
+        storeHead = 0;
+        mask = stores.size() - 1;
+    }
+    stores[(storeHead + storeCount) & mask] = store;
+    ++storeCount;
 }
 
 uint64_t
 Pipeline::scheduleIssue(uint64_t from, FuClass fu)
 {
-    for (uint64_t c = from;; ++c) {
-        CycleUse &u = use(c);
-        if (u.issue >= cfg.issueWidth)
-            continue;
-        int *count = nullptr;
-        int limit = 0;
-        switch (fu) {
-          case FuClass::IntAlu:
-            count = &u.intAlu;
-            limit = cfg.intAlus;
-            break;
-          case FuClass::MemPort:
-            count = &u.mem;
-            limit = cfg.memPorts;
-            break;
-          case FuClass::FpAlu:
-            count = &u.fp;
-            limit = cfg.fpAlus;
-            break;
-          case FuClass::Branch:
-            count = &u.branch;
-            limit = cfg.branchUnits;
-            break;
-          case FuClass::None:
-            break;
-        }
-        if (count && *count >= limit)
-            continue;
-        ++u.issue;
-        if (count)
-            ++*count;
-        return c;
+    // from >= nextIssue, and only the nextIssue cycle holds bookings:
+    // when it is full, the cycle after it is empty.
+    size_t k = fuIndex(fu);
+    if (from == nextIssue && (issuedThisCycle >= cfg.issueWidth ||
+                              fuIssued[k] >= fuLimit[k]))
+        ++from;
+    if (from != nextIssue) {
+        nextIssue = from;
+        issuedThisCycle = 0;
+        fuIssued.fill(0);
     }
-}
-
-int
-Pipeline::latencyOf(const Instruction &inst) const
-{
-    switch (inst.op) {
-      case Opcode::MUL:
-        return cfg.mulLatency;
-      case Opcode::DIV:
-      case Opcode::REM:
-        return cfg.divLatency;
-      case Opcode::FADD:
-      case Opcode::FSUB:
-      case Opcode::FMUL:
-      case Opcode::FDIV:
-      case Opcode::CVTIF:
-      case Opcode::CVTFI:
-        return cfg.fpLatency;
-      default:
-        return cfg.aluLatency;
-    }
+    ++issuedThisCycle;
+    ++fuIssued[k];
+    return from;
 }
 
 bool
 Pipeline::memInterlock(uint32_t addr, uint32_t bytes,
                        uint64_t cycle) const
 {
-    for (const InFlightStore &s : inFlightStores) {
+    const size_t mask = stores.size() - 1;
+    for (size_t i = 0; i < storeCount; ++i) {
+        const InFlightStore &s = stores[(storeHead + i) & mask];
         if (s.writeCycle < cycle)
             continue; // already visible in the cache
         if (s.exeCycle >= cycle)
@@ -286,11 +295,11 @@ Pipeline::handleLoad(const RetiredInst &ri, uint64_t e,
                        predicted ? "hit" : "miss", ca);
         if (!predicted) {
             outcome = SpecOutcome::NoPrediction;
-        } else if (use(id2).dcachePorts >= cfg.memPorts ||
+        } else if (portsAt(id2) >= cfg.memPorts ||
                    (faults && faults->firePortSteal())) {
             outcome = SpecOutcome::PortDenied;
         } else {
-            ++use(id2).dcachePorts;
+            ++portsAt(id2);
             ++ctr.speculated;
             if (hasObservers_) {
                 for (Observer *o : observers)
@@ -368,11 +377,11 @@ Pipeline::handleLoad(const RetiredInst &ri, uint64_t e,
                        interlock ? " (interlocked)" : "");
         if (!bound) {
             outcome = SpecOutcome::NotBound;
-        } else if (use(id1).dcachePorts >= cfg.memPorts ||
+        } else if (portsAt(id1) >= cfg.memPorts ||
                    (faults && faults->firePortSteal())) {
             outcome = SpecOutcome::PortDenied;
         } else {
-            ++use(id1).dcachePorts;
+            ++portsAt(id1);
             ++ctr.speculated;
             if (hasObservers_) {
                 for (Observer *o : observers)
@@ -449,7 +458,7 @@ Pipeline::handleLoad(const RetiredInst &ri, uint64_t e,
     if (outcome != SpecOutcome::Forwarded) {
         // Normal path: EA in EXE, cache in MEM. A speculative miss
         // has already started the fill and the accesses merge.
-        ++use(e + 1).dcachePorts;
+        ++portsAt(e + 1);
         mem::CacheAccessResult acc = dcache.access(ca, e + 1);
         ELAG_TRACE_EVT(tcCache, e + 1, "D$ access pc=%u addr=0x%x %s",
                        ri.pc, ca, acc.hit ? "hit" : "miss");
@@ -596,28 +605,23 @@ Pipeline::retire(const RetiredInst &ri)
         completion = std::max(completion, ready);
     } else if (flags & isa::flag::Store) {
         ++stats_.stores;
-        ++use(e + 1).dcachePorts;
+        ++portsAt(e + 1);
         dcache.access(ri.effAddr, e + 1, cfg.dcache.writeAllocate);
-        inFlightStores.push_back(
-            {ri.effAddr, (flags & isa::flag::WidthByte) ? 1u : 4u, e,
-             e + 1});
+        pushStore({ri.effAddr, (flags & isa::flag::WidthByte) ? 1u : 4u,
+                   e, e + 1},
+                  e);
     } else if (flags & isa::flag::Control) {
         handleBranch(ri, e, flags);
         if (inst.op == Opcode::JAL && inst.rd != 0)
             intReady[inst.rd] = e + 1;
     } else if (flags & isa::flag::WritesFp) {
-        fpReady[inst.rd] =
-            e + static_cast<uint64_t>(latencyOf(inst));
+        fpReady[inst.rd] = e + latency[static_cast<size_t>(inst.op)];
     } else if (flags & isa::flag::WritesInt) {
-        intReady[inst.rd] =
-            e + static_cast<uint64_t>(latencyOf(inst));
+        intReady[inst.rd] = e + latency[static_cast<size_t>(inst.op)];
         completion = std::max(completion, intReady[inst.rd]);
     }
 
-    nextIssue = e;
     lastCompletion = std::max(lastCompletion, completion);
-    if (e > 64)
-        pruneStores(e - 64);
 }
 
 const PipelineStats &
@@ -644,19 +648,19 @@ Pipeline::serialize(ckpt::Writer &w) const
     table.serialize(w);
     regCache.serialize(w);
 
-    w.varint(books.size());
-    for (const BookSlot &slot : books) {
+    w.i32(issuedThisCycle);
+    for (int count : fuIssued)
+        w.i32(count);
+    w.varint(ports.size());
+    for (const PortSlot &slot : ports) {
         w.u64(slot.cycle);
-        w.i32(slot.use.issue);
-        w.i32(slot.use.intAlu);
-        w.i32(slot.use.mem);
-        w.i32(slot.use.fp);
-        w.i32(slot.use.branch);
-        w.i32(slot.use.dcachePorts);
+        w.i32(slot.used);
     }
 
-    w.varint(inFlightStores.size());
-    for (const InFlightStore &st : inFlightStores) {
+    w.varint(storeCount);
+    for (size_t i = 0; i < storeCount; ++i) {
+        const InFlightStore &st =
+            stores[(storeHead + i) & (stores.size() - 1)];
         w.varint(st.addr);
         w.varint(st.bytes);
         w.varint(st.exeCycle);
@@ -685,30 +689,35 @@ Pipeline::restore(ckpt::Reader &r)
     table.restore(r);
     regCache.restore(r);
 
+    issuedThisCycle = r.i32();
+    for (int &count : fuIssued)
+        count = r.i32();
     uint64_t slots = r.varint();
-    if (slots != books.size()) {
+    if (slots != ports.size()) {
         throw ckpt::CkptError(ckpt::ErrorKind::Mismatch,
-                              "pipeline booking-ring size mismatch");
+                              "pipeline port-ring size mismatch");
     }
-    for (BookSlot &slot : books) {
+    for (PortSlot &slot : ports) {
         slot.cycle = r.u64();
-        slot.use.issue = r.i32();
-        slot.use.intAlu = r.i32();
-        slot.use.mem = r.i32();
-        slot.use.fp = r.i32();
-        slot.use.branch = r.i32();
-        slot.use.dcachePorts = r.i32();
+        slot.used = r.i32();
     }
 
-    inFlightStores.clear();
-    uint64_t stores = r.varint();
-    for (uint64_t i = 0; i < stores; ++i) {
-        InFlightStore st;
+    uint64_t count = r.varint();
+    if (count > r.remaining()) {
+        throw ckpt::CkptError(ckpt::ErrorKind::Corrupt,
+                              "in-flight store count past the payload");
+    }
+    stores.assign(std::max(kStoreRingInit,
+                           std::bit_ceil(static_cast<size_t>(count))),
+                  InFlightStore());
+    storeHead = 0;
+    storeCount = static_cast<size_t>(count);
+    for (size_t i = 0; i < storeCount; ++i) {
+        InFlightStore &st = stores[i];
         st.addr = static_cast<uint32_t>(r.varint());
         st.bytes = static_cast<uint32_t>(r.varint());
         st.exeCycle = r.varint();
         st.writeCycle = r.varint();
-        inFlightStores.push_back(st);
     }
 
     for (uint64_t &ready : intReady)

@@ -29,8 +29,8 @@
 #ifndef ELAG_PIPELINE_PIPELINE_HH
 #define ELAG_PIPELINE_PIPELINE_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "isa/instruction.hh"
@@ -104,7 +104,7 @@ class Pipeline
 
     /**
      * Checkpoint the complete timing state: aggregate stats, caches,
-     * BTB, predictor tables, the cycle-resource booking ring,
+     * BTB, predictor tables, the issue-cycle and D$-port bookings,
      * in-flight stores, register ready-times, and the issue/fetch
      * frontiers. Configuration, observers, and the fault-injector
      * pointer are NOT captured — restore() requires a Pipeline built
@@ -115,17 +115,6 @@ class Pipeline
     void restore(ckpt::Reader &r);
 
   private:
-    /** Per-cycle resource books. */
-    struct CycleUse
-    {
-        int issue = 0;
-        int intAlu = 0;
-        int mem = 0;
-        int fp = 0;
-        int branch = 0;
-        int dcachePorts = 0;
-    };
-
     /** An in-flight store, for memory-interlock checks. */
     struct InFlightStore
     {
@@ -135,12 +124,15 @@ class Pipeline
         uint64_t writeCycle = 0; ///< data visible after this cycle
     };
 
-    CycleUse &use(uint64_t cycle);
-    void pruneStores(uint64_t before);
-    /** Earliest cycle >= @p from with a free issue slot + FU. */
+    /** D$ ports booked in @p cycle (a slot of the port ring). */
+    int &portsAt(uint64_t cycle);
+    /** Record a store issued at @p e, dropping long-visible ones. */
+    void pushStore(const InFlightStore &store, uint64_t e);
+    /**
+     * Book the earliest cycle >= @p from with a free issue slot and
+     * @p fu unit; it becomes the issue frontier (nextIssue).
+     */
     uint64_t scheduleIssue(uint64_t from, isa::FuClass fu);
-    /** Latency of a non-load instruction. */
-    int latencyOf(const isa::Instruction &inst) const;
     /** True if an in-flight older store may conflict at @p cycle. */
     bool memInterlock(uint32_t addr, uint32_t bytes,
                       uint64_t cycle) const;
@@ -173,19 +165,44 @@ class Pipeline
     verify::FaultInjector *faults = nullptr;
 
     /**
-     * Per-cycle resource books as a ring keyed by cycle modulo the
-     * ring size. The live booking window spans only a few cycles
-     * around the issue frontier, so collisions cannot occur; stale
-     * slots are lazily reset when revisited.
+     * Issue bookings. Issue is in order and every instruction issues
+     * at or after nextIssue, so only the nextIssue cycle's issue-slot
+     * and per-FuClass counts can still be read; a later cycle starts
+     * from zero.
      */
-    struct BookSlot
+    static constexpr size_t kFuClasses =
+        static_cast<size_t>(isa::FuClass::None) + 1;
+    int issuedThisCycle = 0;
+    std::array<int, kFuClasses> fuIssued{};
+    /** Units per FuClass (None: unlimited), from the config. */
+    std::array<int, kFuClasses> fuLimit{};
+    /** Result latency per opcode, from the config. */
+    std::array<uint64_t, static_cast<size_t>(isa::Opcode::NumOpcodes)>
+        latency{};
+
+    /**
+     * D$ port bookings, a ring keyed by cycle. An instruction issuing
+     * at e books ports at e-2 (ld_e), e-1 (ld_p) and e+1 (MEM) and
+     * reads them at e-2 and e-1; with e >= nextIssue the live window
+     * is four cycles wide, so a slot is only reused once its old
+     * cycle is dead. Stale slots are reset when revisited.
+     */
+    struct PortSlot
     {
         uint64_t cycle = ~0ull;
-        CycleUse use;
+        int used = 0;
     };
-    static constexpr size_t BookRingSize = 1024;
-    std::vector<BookSlot> books;
-    std::deque<InFlightStore> inFlightStores;
+    static constexpr size_t kPortRing = 8;
+    std::array<PortSlot, kPortRing> ports{};
+
+    /**
+     * In-flight stores, oldest first, in a power-of-two ring that
+     * doubles when full. Pruned only when a store is pushed: an entry
+     * left behind is long visible, and memInterlock skips it.
+     */
+    std::vector<InFlightStore> stores;
+    size_t storeHead = 0;
+    size_t storeCount = 0;
 
     /** Attached event sinks (not owned). */
     std::vector<Observer *> observers;

@@ -1,5 +1,7 @@
 #include "sim/ckpt_run.hh"
 
+#include <algorithm>
+
 #include "ckpt/serial.hh"
 #include "obs/span.hh"
 #include "support/logging.hh"
@@ -58,6 +60,9 @@ namespace {
 /** Retires per `sim.slice` span while the span tracer is armed. */
 constexpr uint64_t kSliceRetires = 1u << 20;
 
+/** Most retires between two watchdog checks of a guarded step. */
+constexpr uint64_t kGuardRetires = 4096;
+
 uint64_t
 sliceClock()
 {
@@ -98,12 +103,10 @@ ResumableTimedRun::recordSlice(uint64_t retired)
 }
 
 void
-ResumableTimedRun::guard(const Watchdog &watchdog, uint64_t retired,
-                         bool tracing)
+ResumableTimedRun::checkWatchdog(const Watchdog &watchdog) const
 {
-    if (tracing && retired - sliceBase_ >= kSliceRetires)
-        recordSlice(retired);
-    if (watchdog.maxWallMs && (retired & 0xfff) == 0) {
+    uint64_t retired = acc_.instructions;
+    if (watchdog.maxWallMs) {
         auto elapsed =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - wallStart_)
@@ -136,36 +139,59 @@ ResumableTimedRun::guard(const Watchdog &watchdog, uint64_t retired,
 }
 
 void
-ResumableTimedRun::step(uint64_t budget, const Watchdog &watchdog)
+ResumableTimedRun::absorb(const EmulationResult &part)
 {
-    if (done_)
-        return;
-    uint64_t left = maxInst_ - acc_.instructions;
-    uint64_t chunk = budget < left ? budget : left;
-
-    // Unguarded steps keep the per-retire callback down to the
-    // pipeline hand-off.
-    const bool tracing = obs::SpanTracer::process().enabled();
-    EmulationResult part;
-    if (!watchdog.maxWallMs && !watchdog.maxRetires &&
-        !watchdog.maxCycles && !tracing) {
-        part = emu_.run(chunk, [&](const pipeline::RetiredInst &ri) {
-            pipe_.retire(ri);
-        });
-    } else {
-        uint64_t retired = acc_.instructions;
-        part = emu_.run(chunk, [&](const pipeline::RetiredInst &ri) {
-            pipe_.retire(ri);
-            guard(watchdog, ++retired, tracing);
-        });
-    }
-
     acc_.instructions += part.instructions;
     acc_.output.insert(acc_.output.end(), part.output.begin(),
                        part.output.end());
     acc_.halted = part.halted;
     acc_.exitValue = part.exitValue;
-    done_ = part.halted || acc_.instructions >= maxInst_;
+}
+
+void
+ResumableTimedRun::step(uint64_t budget, const Watchdog &watchdog)
+{
+    if (done_)
+        return;
+    uint64_t left = maxInst_ - acc_.instructions;
+    const uint64_t end = acc_.instructions + (budget < left ? budget : left);
+    auto retire = [&](const pipeline::RetiredInst &ri) {
+        pipe_.retire(ri);
+    };
+
+    const bool tracing = obs::SpanTracer::process().enabled();
+    if (!watchdog.maxWallMs && !watchdog.maxRetires &&
+        !watchdog.maxCycles && !tracing) {
+        absorb(emu_.run(end - acc_.instructions, retire));
+    } else {
+        // Guarded: the caps are checked between chunks of at most
+        // kGuardRetires, so the per-retire callback stays the bare
+        // pipeline hand-off. A chunk never runs past the retire that
+        // trips maxRetires or closes a slice, so those two land on
+        // exactly the retire a per-retire check would pick.
+        auto room = [](uint64_t from, uint64_t to) -> uint64_t {
+            return to > from ? to - from : 1;
+        };
+        bool halted = false;
+        while (!halted && acc_.instructions < end) {
+            uint64_t n = std::min(end - acc_.instructions, kGuardRetires);
+            if (watchdog.maxRetires) {
+                n = std::min(n, room(acc_.instructions,
+                                     watchdog.maxRetires + 1));
+            }
+            if (tracing) {
+                n = std::min(n, room(acc_.instructions,
+                                     sliceBase_ + kSliceRetires));
+            }
+            EmulationResult part = emu_.run(n, retire);
+            halted = part.halted;
+            absorb(part);
+            if (tracing && acc_.instructions - sliceBase_ >= kSliceRetires)
+                recordSlice(acc_.instructions);
+            checkWatchdog(watchdog);
+        }
+    }
+    done_ = acc_.halted || acc_.instructions >= maxInst_;
 }
 
 TimedResult

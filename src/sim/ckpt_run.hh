@@ -3,12 +3,12 @@
  * Resumable timed simulation and snapshot identity.
  *
  * ResumableTimedRun is the one guarded timed-run loop: it retires in
- * caller-sized steps, enforces the Watchdog per retire, cuts
- * `sim.slice` trace spans, and can serialize its complete state
- * between steps — architectural state (PC, register files, memory
- * image) and the full timing model (caches, BTB, predictor tables,
- * booking ring, in-flight stores, issue/fetch frontiers, aggregate
- * stats). runTimed() uses it as a single step whenever a watchdog or
+ * caller-sized steps, enforces the Watchdog between chunks of at most
+ * 4096 retires, cuts `sim.slice` trace spans, and can serialize its
+ * complete state between steps — architectural state (PC, register
+ * files, memory image) and the full timing model (caches, BTB,
+ * predictor tables, issue and port bookings, in-flight stores,
+ * issue/fetch frontiers, aggregate stats). runTimed() uses it as a single step whenever a watchdog or
  * the span tracer is armed; the stats run (sim/stats_run.hh) uses it
  * in snapshot-sized chunks.
  *
@@ -86,11 +86,14 @@ class ResumableTimedRun
     void attach(pipeline::Observer *observer);
 
     /**
-     * Retire up to @p budget more instructions. Watchdog limits are
-     * enforced per retire (SimTimeoutError); maxRetires and maxCycles
-     * count the whole (resumed) run, maxWallMs counts the time since
-     * construction or the last restore. With the span tracer armed,
-     * every 2^20 retires close one `sim.slice` span.
+     * Retire up to @p budget more instructions. Watchdog limits
+     * throw SimTimeoutError: maxRetires on exactly the retire past
+     * it, maxCycles and maxWallMs within 4096 retires of passing
+     * theirs (the caps are checked between chunks of emulation).
+     * maxRetires and maxCycles count the whole (resumed) run,
+     * maxWallMs counts the time since construction or the last
+     * restore. With the span tracer armed, every 2^20 retires close
+     * one `sim.slice` span.
      */
     void step(uint64_t budget, const Watchdog &watchdog);
 
@@ -115,8 +118,10 @@ class ResumableTimedRun
     void restore(ckpt::Reader &r);
 
   private:
-    /** The per-retire watchdog and slice bookkeeping. */
-    void guard(const Watchdog &watchdog, uint64_t retired, bool tracing);
+    /** Throw SimTimeoutError if the run has passed a watchdog cap. */
+    void checkWatchdog(const Watchdog &watchdog) const;
+    /** Add one emulator run's result to the accumulated one. */
+    void absorb(const EmulationResult &part);
     /** Close the slice span ending at @p retired. */
     void recordSlice(uint64_t retired);
 

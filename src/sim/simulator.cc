@@ -140,8 +140,9 @@ runTimed(const CompiledProgram &prog,
          const std::vector<pipeline::Observer *> &observers,
          const Watchdog &watchdog)
 {
-    // A watchdog or an armed tracer needs per-retire checks: that is
-    // one step of the resumable run, which owns the guarded loop.
+    // A watchdog or an armed tracer needs checks between chunks of
+    // the run: that is one step of the resumable run, which owns the
+    // guarded loop.
     if (watchdog.maxWallMs || watchdog.maxRetires ||
         watchdog.maxCycles || obs::SpanTracer::process().enabled()) {
         ResumableTimedRun run(prog, machine, max_instructions);

@@ -205,8 +205,12 @@ struct Watchdog
      * Maximum host wall-clock milliseconds for the run. Unlike the
      * simulated-unit caps above, this bounds real time, so a crash-
      * isolated worker can exit with a clean timeout (75) before an
-     * external supervisor has to SIGKILL it. Checked every few
-     * thousand retires; granularity is coarse, not exact.
+     * external supervisor has to SIGKILL it.
+     *
+     * Granularity: a guarded run checks the caps between chunks of
+     * at most 4096 retires, so maxCycles and maxWallMs trip within
+     * 4096 retires of being passed; maxRetires still trips on
+     * exactly the retire past it.
      */
     uint64_t maxWallMs = 0;
 };
@@ -215,8 +219,8 @@ struct Watchdog
  * Emulation-driven timed run on the given machine. @p observers
  * (telemetry, checkers, custom tooling) must outlive the call; they
  * receive every pipeline event of the run. A watchdog with any limit
- * set throws SimTimeoutError as soon as the limit is exceeded
- * mid-run.
+ * set throws SimTimeoutError mid-run, at the granularity the
+ * Watchdog comment gives.
  */
 TimedResult runTimed(const CompiledProgram &prog,
                      const pipeline::MachineConfig &machine,

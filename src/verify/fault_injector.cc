@@ -88,14 +88,23 @@ isGraceful(const FaultPlan &plan)
 
 } // anonymous namespace
 
-FaultPlan
-planByName(const std::string &name)
+std::optional<FaultPlan>
+findPlan(const std::string &name)
 {
     for (const FaultPlan &plan : registry()) {
         if (plan.name == name)
             return plan;
     }
-    fatal("unknown fault plan '%s'", name.c_str());
+    return std::nullopt;
+}
+
+FaultPlan
+planByName(const std::string &name)
+{
+    std::optional<FaultPlan> plan = findPlan(name);
+    if (!plan)
+        fatal("unknown fault plan '%s'", name.c_str());
+    return *plan;
 }
 
 std::vector<std::string>

@@ -22,6 +22,7 @@
 #define ELAG_VERIFY_FAULT_INJECTOR_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,12 @@ struct FaultPlan
     /** Forward even when the base register is interlocked. */
     bool bypassInterlockCheck = false;
 };
+
+/**
+ * The plan registered under @p name, or nullopt. Front ends check
+ * user-supplied names with it before doing any work.
+ */
+std::optional<FaultPlan> findPlan(const std::string &name);
 
 /** @return the plan registered under @p name; fatal() if unknown. */
 FaultPlan planByName(const std::string &name);

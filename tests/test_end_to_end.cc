@@ -209,7 +209,7 @@ TEST(EndToEnd, ElagcRejectsUnknownNamesBeforeCompiling)
     // A valid workload, so any output at all would mean elagc went
     // on to compile (the "compiled:" banner) or simulate it.
     for (const char *bad : {"--machine=basline", "--machine=Proposed",
-                            "--selection=bogus"}) {
+                            "--selection=bogus", "--inject=bogus"}) {
         auto r = runSubprocess({ELAG_ELAGC_BIN, "--workload=adpcm_enc",
                                 "--json-stats=-", bad});
         ASSERT_EQ(r.status, SubprocessStatus::Exited) << bad;
@@ -221,3 +221,26 @@ TEST(EndToEnd, ElagcRejectsUnknownNamesBeforeCompiling)
 }
 
 #endif // ELAG_ELAGC_BIN
+
+#ifdef ELAG_SOAK_BIN
+
+TEST(EndToEnd, SoakRejectsUnknownPlansBeforeRunning)
+{
+    // The self-checks run first of all, so a "self-checks passed"
+    // line would mean the soak started before rejecting the name.
+    for (const char *bad : {"--plans=bogus", "--plans=chaos,bogus"}) {
+        auto r = runSubprocess(
+            {ELAG_SOAK_BIN, "--programs=1", "--quiet", bad});
+        ASSERT_EQ(r.status, SubprocessStatus::Exited) << bad;
+        EXPECT_EQ(r.exitCode, 2) << bad << ": " << r.err;
+        EXPECT_EQ(r.out, "") << bad;
+        EXPECT_NE(r.err.find("unknown fault plan 'bogus'"),
+                  std::string::npos)
+            << r.err;
+        EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
+        EXPECT_EQ(r.err.find("self-checks passed"), std::string::npos)
+            << r.err;
+    }
+}
+
+#endif // ELAG_SOAK_BIN

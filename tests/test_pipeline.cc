@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "ckpt/serial.hh"
 #include "isa/builder.hh"
 #include "pipeline/pipeline.hh"
 #include "pipeline/telemetry.hh"
@@ -664,4 +668,329 @@ TEST(Observer, BindLifetimeHistogramTracksRaddrResidency)
     }
     const PipelineStats &s = f.finishChecked();
     EXPECT_GT(s.bindLifetime.samples(), 0u);
+}
+
+// ---------------------------------------------------------------
+// Issue booking, the D$ port ring and the in-flight store ring.
+// ---------------------------------------------------------------
+
+namespace {
+
+/**
+ * Cycles of a DIV into r10 followed by @p burst. Every instruction
+ * of the burst reads r10 or issues in order behind one that does, so
+ * the whole burst becomes ready in the cycle the DIV result is and
+ * contends for that one cycle's issue slots and units.
+ */
+uint64_t
+burstCycles(const MachineConfig &cfg,
+            const std::vector<Instruction> &burst)
+{
+    return cyclesFor(cfg, [&](StreamFeeder &f) {
+        f.feed(build::rrr(Opcode::DIV, 10, 1, 2));
+        for (const Instruction &inst : burst)
+            f.feed(inst, 0x4000);
+    });
+}
+
+std::vector<Instruction>
+repeated(int n, Instruction (*make)(int))
+{
+    std::vector<Instruction> out;
+    for (int i = 0; i < n; ++i)
+        out.push_back(make(i));
+    return out;
+}
+
+Instruction
+intOp(int i)
+{
+    return build::add(20 + i, 10, 0);
+}
+
+Instruction
+fpOp(int i)
+{
+    return build::rrr(Opcode::CVTIF, 1 + i, 10, 0);
+}
+
+Instruction
+memOp(int i)
+{
+    return build::store(10, 10, 4 * i);
+}
+
+Instruction
+branchOp(int)
+{
+    return build::branch(Opcode::BEQ, 10, 0, 999); // never taken
+}
+
+/** Retire @p inst at an explicit PC (a re-executed static site). */
+void
+retireAt(Pipeline &pipe, uint32_t pc, const Instruction &inst,
+         uint32_t ea = 0)
+{
+    RetiredInst ri;
+    ri.pc = pc;
+    ri.inst = inst;
+    ri.effAddr = ea;
+    ri.nextPc = pc + 1;
+    pipe.retire(ri);
+}
+
+} // namespace
+
+TEST(IssueBooking, EachFuClassSaturatesInOneCycle)
+{
+    MachineConfig cfg = base();
+    // One instruction of the burst: it issues in the DIV's ready
+    // cycle t and completes at t+2.
+    const uint64_t one = burstCycles(cfg, {intOp(0)});
+    struct Unit
+    {
+        const char *name;
+        Instruction (*make)(int);
+        int limit;
+    };
+    const Unit units[] = {{"int", intOp, cfg.intAlus},
+                          {"fp", fpOp, cfg.fpAlus},
+                          {"mem", memOp, cfg.memPorts},
+                          {"branch", branchOp, cfg.branchUnits}};
+    for (const Unit &u : units) {
+        SCOPED_TRACE(u.name);
+        ASSERT_GE(u.limit, 1);
+        // A full unit class issues together; one more spills one
+        // cycle, and a second full group plus one spills two.
+        EXPECT_EQ(burstCycles(cfg, repeated(u.limit, u.make)), one);
+        EXPECT_EQ(burstCycles(cfg, repeated(u.limit + 1, u.make)),
+                  one + 1);
+        EXPECT_EQ(burstCycles(cfg, repeated(2 * u.limit + 1, u.make)),
+                  one + 2);
+    }
+}
+
+TEST(IssueBooking, IssueWidthSaturatesInOneCycle)
+{
+    MachineConfig cfg = base();
+    ASSERT_EQ(cfg.intAlus + cfg.fpAlus, cfg.issueWidth);
+    const uint64_t one = burstCycles(cfg, {intOp(0)});
+    // Four int and two FP ops fill all six issue slots of cycle t;
+    // a NOP needs no unit but still needs a slot, so it spills.
+    std::vector<Instruction> six = repeated(4, intOp);
+    six.push_back(fpOp(0));
+    six.push_back(fpOp(1));
+    EXPECT_EQ(burstCycles(cfg, six), one);
+    std::vector<Instruction> seven = six;
+    seven.push_back(build::nop());
+    EXPECT_EQ(burstCycles(cfg, seven), one + 1);
+    std::vector<Instruction> five_and_nop = repeated(4, intOp);
+    five_and_nop.push_back(fpOp(0));
+    five_and_nop.push_back(build::nop());
+    EXPECT_EQ(burstCycles(cfg, five_and_nop), one);
+
+    // Narrower than the int units: the issue width binds first.
+    cfg.issueWidth = 3;
+    const uint64_t narrow = burstCycles(cfg, {intOp(0)});
+    EXPECT_EQ(burstCycles(cfg, repeated(3, intOp)), narrow);
+    EXPECT_EQ(burstCycles(cfg, repeated(4, intOp)), narrow + 1);
+    EXPECT_EQ(burstCycles(cfg, repeated(7, intOp)), narrow + 2);
+}
+
+namespace {
+
+/**
+ * The speculative-load counters one load adds when @p stores older
+ * stores issue in cycle t and book their MEM port at t+1, and the
+ * load's early access (ID2 for ld_p, ID1 for ld_e) falls in t+1.
+ */
+SpecCounters
+portContention(LoadSpec spec, int stores, bool booking_between)
+{
+    MachineConfig cfg = MachineConfig::proposed();
+    StreamFeeder f(cfg);
+    Pipeline &p = f.pipe;
+    // Train the table at PC 500 on one address, and bind r12 into
+    // R_addr; the spacer chains let the fills complete.
+    for (int i = 0; i < 16; ++i) {
+        retireAt(p, 500, build::load(spec, 15, 12, 0), 0x2000);
+        for (int j = 0; j < 20; ++j)
+            retireAt(p, 600 + j, build::add(20, 20, 2));
+    }
+    SpecCounters before =
+        spec == LoadSpec::Predict ? p.stats().predict
+                                  : p.stats().earlyCalc;
+
+    // r10 is ready at t; the stores (far from 0x2000) issue at t.
+    retireAt(p, 700, build::rrr(Opcode::DIV, 10, 1, 2));
+    for (int i = 0; i < stores; ++i)
+        retireAt(p, 701 + i, build::store(10, 10, 0), 0x3000);
+    // A chain that puts the load's EXE at t+2 (ld_p, ID2 = t+1) or
+    // t+3 (ld_e, ID1 = t+1).
+    retireAt(p, 710, build::add(11, 10, 0));
+    // Optionally an ld_n at t+1 books the next cycle's MEM port in
+    // between: the ports of t+1 must still read as booked.
+    if (booking_between)
+        retireAt(p, 720, build::load(LoadSpec::Normal, 16, 11, 0), 0x5000);
+    if (spec == LoadSpec::Predict) {
+        retireAt(p, 711, build::add(12, 11, 0));
+    } else {
+        retireAt(p, 711, build::add(13, 11, 0));
+        retireAt(p, 712, build::add(12, 13, 0));
+    }
+    retireAt(p, 500, build::load(spec, 15, 12, 0), 0x2000);
+    f.finishChecked();
+
+    const SpecCounters &after =
+        spec == LoadSpec::Predict ? p.stats().predict
+                                  : p.stats().earlyCalc;
+    SpecCounters delta;
+    delta.executed = after.executed - before.executed;
+    delta.speculated = after.speculated - before.speculated;
+    delta.portDenied = after.portDenied - before.portDenied;
+    return delta;
+}
+
+} // namespace
+
+TEST(IssueBooking, SpeculativeLoadsContendWithOlderStorePorts)
+{
+    ASSERT_EQ(MachineConfig::proposed().memPorts, 2);
+    for (LoadSpec spec : {LoadSpec::Predict, LoadSpec::EarlyCalc}) {
+        for (bool between : {false, true}) {
+            SCOPED_TRACE(spec == LoadSpec::Predict ? "ld_p" : "ld_e");
+            SCOPED_TRACE(between ? "booking between" : "adjacent");
+            // One older store leaves a port free in t+1.
+            SpecCounters one = portContention(spec, 1, between);
+            EXPECT_EQ(one.executed, 1u);
+            EXPECT_EQ(one.speculated, 1u);
+            EXPECT_EQ(one.portDenied, 0u);
+            // Two take both: the older stores win the arbitration.
+            SpecCounters two = portContention(spec, 2, between);
+            EXPECT_EQ(two.executed, 1u);
+            EXPECT_EQ(two.speculated, 0u);
+            EXPECT_EQ(two.portDenied, 1u);
+        }
+    }
+}
+
+namespace {
+
+/** Issue-16 machine with 16 memory ports and a free I$ refill. */
+MachineConfig
+wideMachine()
+{
+    MachineConfig cfg = MachineConfig::proposed();
+    cfg.issueWidth = 16;
+    cfg.memPorts = 16;
+    cfg.intAlus = 16;
+    cfg.icache.missPenalty = 0;
+    return cfg;
+}
+
+/** Stores @p first .. @p first + @p n - 1 of the flood. */
+void
+flood(Pipeline &p, int first, int n)
+{
+    for (int i = first; i < first + n; ++i) {
+        retireAt(p, 2000 + static_cast<uint32_t>(i),
+                 build::store(0, 0, 0),
+                 0x8000 + 4 * static_cast<uint32_t>(i));
+    }
+}
+
+/**
+ * Train an ld_p at PC 900 on 0x2000, then retire @p stores stores
+ * 16 per cycle — all in flight together, past the store ring's
+ * initial 256 slots. Ten early stores are long visible by then, so
+ * the flood first prunes them and the ring wraps before it grows.
+ */
+void
+trainThenFlood(Pipeline &p, int stores)
+{
+    for (int i = 0; i < 10; ++i)
+        retireAt(p, 800 + i, build::store(0, 0, 0), 0x7000 + 4 * i);
+    for (int i = 0; i < 16; ++i) {
+        retireAt(p, 900, build::load(LoadSpec::Predict, 15, 1, 0),
+                 0x2000);
+        for (int j = 0; j < 20; ++j)
+            retireAt(p, 1000 + j, build::add(20, 20, 2));
+    }
+    flood(p, 0, stores);
+}
+
+/**
+ * One more store to @p addr at cycle t, then the ld_p of 0x2000 with
+ * its ID2 at t+1 — the one cycle in which that store's address is
+ * resolved but its data not yet visible, so memInterlock compares
+ * addresses.
+ */
+void
+probeAfterStore(Pipeline &p, uint32_t addr)
+{
+    retireAt(p, 3000, build::rrr(Opcode::DIV, 10, 1, 2));
+    retireAt(p, 3001, build::store(10, 10, 0), addr);
+    retireAt(p, 3002, build::add(21, 10, 0));
+    retireAt(p, 3003, build::add(22, 21, 0));
+    retireAt(p, 900, build::loadx(LoadSpec::Predict, 15, 1, 22),
+             0x2000);
+}
+
+std::string
+serialized(const Pipeline &p)
+{
+    ckpt::Writer w;
+    p.serialize(w);
+    return w.data();
+}
+
+} // namespace
+
+TEST(StoreRing, GrowsPastInitialCapacityThenProbes)
+{
+    for (uint32_t addr : {0x2000u, 0x2400u}) {
+        SCOPED_TRACE(addr);
+        StreamFeeder f(wideMachine());
+        trainThenFlood(f.pipe, 300);
+        SpecCounters before = f.pipe.stats().predict;
+        probeAfterStore(f.pipe, addr);
+        f.finishChecked();
+        const SpecCounters &after = f.pipe.stats().predict;
+        EXPECT_EQ(after.speculated - before.speculated, 1u);
+        if (addr == 0x2000) {
+            // The youngest store, past slot 256, overlaps the load.
+            EXPECT_EQ(after.memInterlock - before.memInterlock, 1u);
+            EXPECT_EQ(after.forwarded, before.forwarded);
+        } else {
+            EXPECT_EQ(after.memInterlock, before.memInterlock);
+            EXPECT_EQ(after.forwarded - before.forwarded, 1u);
+        }
+    }
+}
+
+TEST(StoreRing, GrownRingRoundTripsThroughACheckpoint)
+{
+    // Snapshot 200 stores into the flood. The live ring starts at
+    // slot 10 (the flood pruned the ten early stores), so it wraps
+    // before it grows; restore compacts the copy's ring to slot 0, so
+    // it grows without wrapping. Both must hold the same stores in
+    // the same order.
+    Pipeline a(wideMachine());
+    trainThenFlood(a, 200);
+    std::string snapshot = serialized(a);
+    Pipeline b(wideMachine());
+    ckpt::Reader r(snapshot.data(), snapshot.size());
+    b.restore(r);
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(serialized(b), snapshot);
+
+    flood(a, 200, 100);
+    flood(b, 200, 100);
+    EXPECT_EQ(serialized(b), serialized(a));
+    probeAfterStore(a, 0x2000);
+    probeAfterStore(b, 0x2000);
+    EXPECT_EQ(serialized(b), serialized(a));
+    EXPECT_EQ(b.finish().predict.memInterlock,
+              a.finish().predict.memInterlock);
+    EXPECT_EQ(b.stats().cycles, a.stats().cycles);
 }

@@ -11,11 +11,14 @@
 
 #include "isa/builder.hh"
 #include "pipeline/pipeline.hh"
+#include "pipeline/telemetry.hh"
+#include "sim/ckpt_run.hh"
 #include "sim/simulator.hh"
 #include "support/logging.hh"
 #include "verify/fault_injector.hh"
 #include "verify/invariant_checker.hh"
 #include "verify/program_gen.hh"
+#include "workloads/workloads.hh"
 
 using namespace elag;
 using namespace elag::verify;
@@ -30,6 +33,13 @@ TEST(FaultPlans, RegistryLookupAndUnknownName)
     EXPECT_EQ(chaos.name, "chaos");
     EXPECT_GT(chaos.latencyJitterRate, 0.0);
     EXPECT_THROW(planByName("no-such-plan"), FatalError);
+    EXPECT_FALSE(findPlan("no-such-plan").has_value());
+    EXPECT_FALSE(findPlan("Chaos").has_value());
+    for (const std::string &name : allPlanNames()) {
+        std::optional<FaultPlan> found = findPlan(name);
+        ASSERT_TRUE(found.has_value()) << name;
+        EXPECT_EQ(found->name, name);
+    }
 }
 
 TEST(FaultPlans, GracefulSetExcludesNoneAndBugPlans)
@@ -331,6 +341,73 @@ TEST(Watchdog, CycleLimitCatchesInfiniteProgram)
         EXPECT_EQ(e.kind(), sim::SimTimeoutError::Kind::Cycles);
         EXPECT_EQ(e.limit(), 50'000u);
     }
+}
+
+TEST(Watchdog, RetireLimitTripsOnExactlyTheRetirePastIt)
+{
+    // The caps are checked between chunks of up to 4096 retires; a
+    // chunk never runs past maxRetires + 1, whatever the step size.
+    auto prog = sim::compile(workloads::findWorkload("gs")->source);
+    for (uint64_t limit : {50ull, 4095ull, 4096ull, 4097ull, 10'000ull}) {
+        for (uint64_t step : {1'000'000ull, 3'000ull}) {
+            SCOPED_TRACE(limit);
+            SCOPED_TRACE(step);
+            sim::ResumableTimedRun run(
+                prog, pipeline::MachineConfig::proposed(), 1'000'000);
+            sim::Watchdog wd;
+            wd.maxRetires = limit;
+            try {
+                while (!run.done())
+                    run.step(step, wd);
+                FAIL() << "watchdog did not trip";
+            } catch (const sim::SimTimeoutError &e) {
+                EXPECT_EQ(e.kind(), sim::SimTimeoutError::Kind::Retires);
+                EXPECT_EQ(run.retired(), limit + 1);
+            }
+        }
+    }
+}
+
+TEST(Watchdog, CycleLimitAtTheFinalCycleIsExact)
+{
+    // Cycles only grow, so a cap below the run's final cycle count
+    // trips even when the program halts inside the last chunk, and a
+    // cap at it never does.
+    auto prog = sim::compile(kSmallLoop);
+    auto machine = pipeline::MachineConfig::proposed();
+    uint64_t cycles = sim::runTimed(prog, machine, 1'000'000).pipe.cycles;
+    sim::Watchdog wd;
+    wd.maxCycles = cycles - 1;
+    try {
+        sim::runTimed(prog, machine, 1'000'000, {}, wd);
+        FAIL() << "watchdog did not trip";
+    } catch (const sim::SimTimeoutError &e) {
+        EXPECT_EQ(e.kind(), sim::SimTimeoutError::Kind::Cycles);
+    }
+    wd.maxCycles = cycles;
+    EXPECT_EQ(sim::runTimed(prog, machine, 1'000'000, {}, wd).pipe.cycles,
+              cycles);
+}
+
+TEST(Watchdog, NeverTrippingWatchdogLeavesStatsByteIdentical)
+{
+    auto prog = sim::compile(workloads::findWorkload("gs")->source);
+    auto machine = pipeline::MachineConfig::proposed();
+    auto document = [&](const sim::Watchdog &wd) {
+        pipeline::LoadTelemetry telemetry;
+        verify::InvariantChecker checker;
+        sim::TimedResult base =
+            sim::runTimed(prog, pipeline::MachineConfig::baseline());
+        sim::TimedResult timed = sim::runTimed(
+            prog, machine, 500'000'000, {&telemetry, &checker}, wd);
+        return sim::statsReportJson("workload:gs", "proposed", "", prog,
+                                    base, timed, telemetry);
+    };
+    sim::Watchdog never;
+    never.maxRetires = 1ull << 60;
+    never.maxCycles = 1ull << 60;
+    never.maxWallMs = 1ull << 40;
+    EXPECT_EQ(document(never), document(sim::Watchdog{}));
 }
 
 TEST(Watchdog, ZeroLimitsAreUnlimited)

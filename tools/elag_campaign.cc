@@ -125,19 +125,6 @@ isPseudoPlan(const std::string &name)
            name == "test-flaky";
 }
 
-bool
-knownPlan(const std::string &name)
-{
-    if (isPseudoPlan(name))
-        return true;
-    try {
-        verify::planByName(name);
-        return true;
-    } catch (const FatalError &) {
-        return false;
-    }
-}
-
 // =====================================================================
 // Worker mode: one sandboxed job, simulated in-process.
 // =====================================================================
@@ -1213,7 +1200,7 @@ workerMain(int argc, char **argv)
         }
     }
     for (const std::string &plan : opts.plans) {
-        if (!knownPlan(plan)) {
+        if (!isPseudoPlan(plan) && !verify::findPlan(plan)) {
             std::fprintf(stderr, "unknown fault plan '%s'\n",
                          plan.c_str());
             return 2;
@@ -1328,7 +1315,7 @@ coordinatorMain(int argc, char **argv)
         opts.planGroups.push_back(verify::gracefulPlanNames());
     for (const auto &group : opts.planGroups) {
         for (const std::string &plan : group) {
-            if (!knownPlan(plan)) {
+            if (!isPseudoPlan(plan) && !verify::findPlan(plan)) {
                 std::fprintf(stderr, "unknown fault plan '%s'\n",
                              plan.c_str());
                 return 2;

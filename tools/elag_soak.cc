@@ -129,6 +129,13 @@ parseArgs(int argc, char **argv, Options &opts)
             return false;
         }
     }
+    for (const std::string &plan : opts.plans) {
+        if (!verify::findPlan(plan)) {
+            std::fprintf(stderr, "elag_soak: unknown fault plan '%s'\n",
+                         plan.c_str());
+            return false;
+        }
+    }
     return true;
 }
 

@@ -75,6 +75,7 @@
 #include "support/logging.hh"
 #include "support/strings.hh"
 #include "support/trace.hh"
+#include "verify/fault_injector.hh"
 #include "workloads/synthetic/scenario.hh"
 #include "workloads/workloads.hh"
 
@@ -245,6 +246,11 @@ parseArgs(int argc, char **argv, Options &opts)
     if (!sim::parseMachine(opts.machine, opts.selection, opts.table,
                            opts.regs, opts.machineConfig, error)) {
         std::fprintf(stderr, "elagc: %s\n", error.c_str());
+        return false;
+    }
+    if (!opts.inject.empty() && !verify::findPlan(opts.inject)) {
+        std::fprintf(stderr, "elagc: unknown fault plan '%s'\n",
+                     opts.inject.c_str());
         return false;
     }
     if (!opts.file.empty() && !opts.workload.empty()) {
