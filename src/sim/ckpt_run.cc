@@ -154,7 +154,8 @@ ResumableTimedRun::step(uint64_t budget, const Watchdog &watchdog)
     if (done_)
         return;
     uint64_t left = maxInst_ - acc_.instructions;
-    const uint64_t end = acc_.instructions + (budget < left ? budget : left);
+    const uint64_t end =
+        acc_.instructions + (budget < left ? budget : left);
     auto retire = [&](const pipeline::RetiredInst &ri) {
         pipe_.retire(ri);
     };
@@ -172,8 +173,7 @@ ResumableTimedRun::step(uint64_t budget, const Watchdog &watchdog)
         auto room = [](uint64_t from, uint64_t to) -> uint64_t {
             return to > from ? to - from : 1;
         };
-        bool halted = false;
-        while (!halted && acc_.instructions < end) {
+        while (!acc_.halted && acc_.instructions < end) {
             uint64_t n = std::min(end - acc_.instructions, kGuardRetires);
             if (watchdog.maxRetires) {
                 n = std::min(n, room(acc_.instructions,
@@ -183,9 +183,7 @@ ResumableTimedRun::step(uint64_t budget, const Watchdog &watchdog)
                 n = std::min(n, room(acc_.instructions,
                                      sliceBase_ + kSliceRetires));
             }
-            EmulationResult part = emu_.run(n, retire);
-            halted = part.halted;
-            absorb(part);
+            absorb(emu_.run(n, retire));
             if (tracing && acc_.instructions - sliceBase_ >= kSliceRetires)
                 recordSlice(acc_.instructions);
             checkWatchdog(watchdog);

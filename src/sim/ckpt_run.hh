@@ -8,9 +8,9 @@
  * complete state between steps — architectural state (PC, register
  * files, memory image) and the full timing model (caches, BTB,
  * predictor tables, issue and port bookings, in-flight stores,
- * issue/fetch frontiers, aggregate stats). runTimed() uses it as a single step whenever a watchdog or
- * the span tracer is armed; the stats run (sim/stats_run.hh) uses it
- * in snapshot-sized chunks.
+ * issue/fetch frontiers, aggregate stats). runTimed() uses it as a
+ * single step whenever a watchdog or the span tracer is armed; the
+ * stats run (sim/stats_run.hh) uses it in snapshot-sized chunks.
  *
  * Snapshots are bound to their run identity (CkptRunKey) — program
  * hash, machine and baseline config hashes, instruction cap,
