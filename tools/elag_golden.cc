@@ -19,6 +19,12 @@
  * six table-only machines (compiler-directed and hardware-only, 64,
  * 256 and 1024 entries).
  *
+ * The `codegen` set pins the compiler instead of the simulator: one
+ * line per compiled program — the 26 imitation workloads, one seeded
+ * scenario per synthetic kernel family, and the table-sweep scenario
+ * — holding the machine-instruction count, the static ld_n/ld_p/ld_e
+ * counts and sim::hashProgram of the emitted program.
+ *
  * Exit codes: 0 success, 1 error, 2 usage.
  */
 
@@ -27,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/run_cache.hh"
 #include "sim/stats_run.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -158,13 +165,57 @@ goldenLine(const GoldenRun &run)
     return w.str();
 }
 
+/** One program of the codegen set: a label and its source. */
+struct CodegenProgram
+{
+    std::string label;
+    std::string source;
+};
+
+std::vector<CodegenProgram>
+codegenPrograms()
+{
+    namespace syn = workloads::synthetic;
+    std::vector<CodegenProgram> programs;
+    for (const workloads::Workload *w : workloads::allWorkloads())
+        programs.push_back({"workload:" + w->name, w->source});
+    for (const syn::FamilyInfo &f : syn::kernelFamilies()) {
+        auto gen = syn::generateScenario(syn::sampleSpec(f.family, 1));
+        programs.push_back({gen.name, gen.source});
+    }
+    auto sweep = syn::generateScenario(sweepSpec());
+    programs.push_back({sweep.name, sweep.source});
+    return programs;
+}
+
+/** The codegen line of one program. */
+std::string
+codegenLine(const CodegenProgram &program)
+{
+    sim::CompiledProgram prog = sim::compile(program.source);
+    JsonWriter w(0);
+    w.beginObject();
+    w.field("program", program.label);
+    w.field("machine_insts",
+            static_cast<uint64_t>(prog.code.program.code.size()));
+    w.field("ld_n", static_cast<int64_t>(prog.classStats.numNormal));
+    w.field("ld_p", static_cast<int64_t>(prog.classStats.numPredict));
+    w.field("ld_e", static_cast<int64_t>(prog.classStats.numEarlyCalc));
+    w.field("program_hash",
+            formatString("%016llx",
+                         static_cast<unsigned long long>(
+                             sim::hashProgram(prog.code.program))));
+    w.endObject();
+    return w.str();
+}
+
 void
 usage()
 {
     std::fprintf(stderr,
                  "usage: elag_golden --set=NAME | --list-sets\n"
                  "  sets: baseline proposed ev all-predict all-early "
-                 "table-sweep\n");
+                 "table-sweep codegen\n");
 }
 
 } // namespace
@@ -180,7 +231,7 @@ main(int argc, char **argv)
     if (arg == "--list-sets") {
         for (const char *set : kWorkloadSets)
             std::printf("%s\n", set);
-        std::printf("table-sweep\n");
+        std::printf("table-sweep\ncodegen\n");
         return 0;
     }
     const char *prefix = "--set=";
@@ -188,12 +239,17 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
-    std::vector<GoldenRun> runs = runsOf(arg.substr(std::strlen(prefix)));
-    if (runs.empty()) {
+    std::string set = arg.substr(std::strlen(prefix));
+    std::vector<GoldenRun> runs = runsOf(set);
+    if (runs.empty() && set != "codegen") {
         usage();
         return 2;
     }
     try {
+        if (set == "codegen") {
+            for (const CodegenProgram &program : codegenPrograms())
+                std::printf("%s\n", codegenLine(program).c_str());
+        }
         for (const GoldenRun &run : runs)
             std::printf("%s\n", goldenLine(run).c_str());
     } catch (const std::exception &e) {
