@@ -168,14 +168,17 @@ BM_FunctionalEmulationLegacy(benchmark::State &state)
 }
 BENCHMARK(BM_FunctionalEmulationLegacy)->Unit(benchmark::kMillisecond);
 
+/** The whole compiler (parse through codegen) over all 26 imitation
+ *  workloads per iteration. */
 void
 BM_CompilePipeline(benchmark::State &state)
 {
     setQuiet(true);
-    const auto *w = workloads::findWorkload("147.vortex");
     for (auto _ : state) {
-        auto prog = sim::compile(w->source);
-        benchmark::DoNotOptimize(prog.code.program.code.size());
+        for (const workloads::Workload *w : workloads::allWorkloads()) {
+            auto prog = sim::compile(w->source);
+            benchmark::DoNotOptimize(prog.code.program.code.size());
+        }
     }
 }
 BENCHMARK(BM_CompilePipeline)->Unit(benchmark::kMillisecond);

@@ -156,20 +156,17 @@ assignSpecifiers(const std::vector<IrInst *> &loads,
 /** @return true if the base register is defined solely by
  * GlobalAddr (an absolute location, Section 4.2). */
 bool
-isAbsoluteLoad(Function &fn, const IrInst &load,
-               const std::map<int, std::vector<opt::InstRef>> &defs)
+isAbsoluteLoad(const IrInst &load, const opt::DefMap &defs)
 {
     if (!load.a.isReg())
         return false;
-    auto it = defs.find(load.a.reg);
-    if (it == defs.end())
-        return false;
-    for (const auto &ref : it->second) {
+    const std::vector<opt::InstRef> &sites =
+        defs[static_cast<size_t>(load.a.reg)];
+    for (const auto &ref : sites) {
         if (ref.inst().op != IrOpcode::GlobalAddr)
             return false;
     }
-    (void)fn;
-    return !it->second.empty();
+    return !sites.empty();
 }
 
 void
@@ -208,7 +205,7 @@ classifyFunction(Function &fn, const ClassifyConfig &config,
         for (IrInst *load : loads) {
             if (classified.count(load->loadId))
                 continue;
-            if (!isAbsoluteLoad(fn, *load, defs) && load->b.isImm())
+            if (!isAbsoluteLoad(*load, defs) && load->b.isImm())
                 ++group_size[load->a.reg];
         }
         int best_base = 0;
@@ -224,7 +221,7 @@ classifyFunction(Function &fn, const ClassifyConfig &config,
         for (IrInst *load : loads) {
             if (classified.count(load->loadId))
                 continue;
-            if (isAbsoluteLoad(fn, *load, defs)) {
+            if (isAbsoluteLoad(*load, defs)) {
                 load->spec = LoadSpec::Predict;
             } else if (use_early && load->b.isImm() &&
                        load->a.reg == best_base) {

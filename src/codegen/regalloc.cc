@@ -40,8 +40,9 @@ allocateRegisters(Function &fn, const std::vector<BasicBlock *> &order)
     ir::Liveness live(fn);
 
     // Linearize: assign each instruction a position; record block
-    // extents and call positions.
-    std::map<const BasicBlock *, std::pair<int, int>> block_range;
+    // extents (by block id) and call positions (ascending).
+    std::vector<std::pair<int, int>> block_range(
+        static_cast<size_t>(fn.blockLimit()));
     std::vector<int> call_positions;
     int pos = 1; // position 0 is the function entry (param defs)
     for (const BasicBlock *bb : order) {
@@ -51,12 +52,13 @@ allocateRegisters(Function &fn, const std::vector<BasicBlock *> &order)
                 call_positions.push_back(pos);
             ++pos;
         }
-        block_range[bb] = {begin, pos};
+        block_range[static_cast<size_t>(bb->id())] = {begin, pos};
     }
 
-    std::map<int, Interval> intervals;
+    // Intervals by vreg id; a vreg never touched keeps end == -1.
+    std::vector<Interval> intervals(static_cast<size_t>(fn.vregLimit()));
     auto touch = [&](int vreg, int p) {
-        Interval &iv = intervals[vreg];
+        Interval &iv = intervals[static_cast<size_t>(vreg)];
         iv.vreg = vreg;
         iv.extend(p);
     };
@@ -64,17 +66,16 @@ allocateRegisters(Function &fn, const std::vector<BasicBlock *> &order)
     for (int param : fn.params)
         touch(param, 0);
 
+    std::vector<int> srcs;
     for (const BasicBlock *bb : order) {
-        auto [begin, end] = block_range[bb];
+        auto [begin, end] = block_range[static_cast<size_t>(bb->id())];
         // Live-in/out vregs span the whole block.
-        for (int v : live.liveIn(bb))
-            touch(v, begin);
-        for (int v : live.liveOut(bb)) {
+        live.liveIn(bb).forEach([&](int v) { touch(v, begin); });
+        live.liveOut(bb).forEach([&](int v) {
             touch(v, begin);
             touch(v, end - 1);
-        }
+        });
         int p = begin;
-        std::vector<int> srcs;
         for (const auto &inst : bb->insts) {
             if (inst.dest)
                 touch(inst.dest, p);
@@ -86,20 +87,16 @@ allocateRegisters(Function &fn, const std::vector<BasicBlock *> &order)
         }
     }
 
-    for (auto &kv : intervals) {
-        Interval &iv = kv.second;
-        for (int cp : call_positions) {
-            if (iv.start < cp && cp < iv.end) {
-                iv.crossesCall = true;
-                break;
-            }
-        }
-    }
-
     std::vector<Interval> sorted;
-    sorted.reserve(intervals.size());
-    for (const auto &kv : intervals)
-        sorted.push_back(kv.second);
+    for (Interval &iv : intervals) {
+        if (iv.end < 0)
+            continue;
+        // Does a call sit strictly inside the interval?
+        auto cp = std::upper_bound(call_positions.begin(),
+                                   call_positions.end(), iv.start);
+        iv.crossesCall = cp != call_positions.end() && *cp < iv.end;
+        sorted.push_back(iv);
+    }
     std::sort(sorted.begin(), sorted.end(),
               [](const Interval &a, const Interval &b) {
                   if (a.start != b.start)

@@ -1,28 +1,38 @@
 #include "ir/dominators.hh"
 
-#include "support/logging.hh"
-
 namespace elag {
 namespace ir {
 
 Dominators::Dominators(const Function &fn)
+    : idoms(static_cast<size_t>(fn.blockLimit()), nullptr)
 {
-    std::vector<BasicBlock *> order =
-        const_cast<Function &>(fn).rpo();
-    for (size_t i = 0; i < order.size(); ++i)
-        rpoIndex[order[i]] = static_cast<int>(i);
-
+    std::vector<BasicBlock *> order = fn.rpo();
     if (order.empty())
         return;
+
+    // RPO position by block id; -1 for unreachable blocks.
+    std::vector<int> rpo_index(idoms.size(), -1);
+    for (size_t i = 0; i < order.size(); ++i)
+        rpo_index[static_cast<size_t>(order[i]->id())] =
+            static_cast<int>(i);
+    auto index = [&](const BasicBlock *bb) {
+        return rpo_index[static_cast<size_t>(bb->id())];
+    };
+    auto idom_of = [&](const BasicBlock *bb) -> const BasicBlock *& {
+        return idoms[static_cast<size_t>(bb->id())];
+    };
+
+    // While iterating, the entry is its own idom and null means "not
+    // processed yet".
     const BasicBlock *entry = order[0];
-    idoms[entry] = entry;
+    idom_of(entry) = entry;
 
     auto intersect = [&](const BasicBlock *a, const BasicBlock *b) {
         while (a != b) {
-            while (rpoIndex.at(a) > rpoIndex.at(b))
-                a = idoms.at(a);
-            while (rpoIndex.at(b) > rpoIndex.at(a))
-                b = idoms.at(b);
+            while (index(a) > index(b))
+                a = idom_of(a);
+            while (index(b) > index(a))
+                b = idom_of(b);
         }
         return a;
     };
@@ -34,28 +44,25 @@ Dominators::Dominators(const Function &fn)
             const BasicBlock *bb = order[i];
             const BasicBlock *new_idom = nullptr;
             for (const BasicBlock *pred : bb->preds) {
-                if (!idoms.count(pred))
+                if (!idom_of(pred))
                     continue;
                 new_idom = new_idom ? intersect(new_idom, pred) : pred;
             }
-            if (!new_idom)
-                continue;
-            auto it = idoms.find(bb);
-            if (it == idoms.end() || it->second != new_idom) {
-                idoms[bb] = new_idom;
+            if (new_idom && idom_of(bb) != new_idom) {
+                idom_of(bb) = new_idom;
                 changed = true;
             }
         }
     }
     // The entry's idom is conventionally null.
-    idoms[entry] = nullptr;
+    idom_of(entry) = nullptr;
 }
 
 const BasicBlock *
 Dominators::idom(const BasicBlock *bb) const
 {
-    auto it = idoms.find(bb);
-    return it == idoms.end() ? nullptr : it->second;
+    size_t id = static_cast<size_t>(bb->id());
+    return id < idoms.size() ? idoms[id] : nullptr;
 }
 
 bool

@@ -1,7 +1,6 @@
 #include "ir/ir.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "support/logging.hh"
 
@@ -121,7 +120,7 @@ std::vector<BasicBlock *>
 Function::rpo() const
 {
     std::vector<BasicBlock *> postorder;
-    std::set<const BasicBlock *> visited;
+    std::vector<char> visited(static_cast<size_t>(nextBlockId), 0);
     // Iterative DFS with explicit state to avoid deep recursion.
     struct Frame
     {
@@ -131,14 +130,17 @@ Function::rpo() const
     std::vector<Frame> stack;
     if (entry_) {
         stack.push_back({entry_});
-        visited.insert(entry_);
+        visited[static_cast<size_t>(entry_->id())] = 1;
     }
     while (!stack.empty()) {
         Frame &f = stack.back();
         if (f.next < f.bb->succs.size()) {
             BasicBlock *succ = f.bb->succs[f.next++];
-            if (visited.insert(succ).second)
+            char &seen = visited[static_cast<size_t>(succ->id())];
+            if (!seen) {
+                seen = 1;
                 stack.push_back({succ});
+            }
         } else {
             postorder.push_back(f.bb);
             stack.pop_back();
@@ -152,13 +154,14 @@ void
 Function::removeUnreachable()
 {
     recomputeCfg();
-    std::set<const BasicBlock *> reachable;
+    std::vector<char> reachable(static_cast<size_t>(nextBlockId), 0);
     for (BasicBlock *bb : rpo())
-        reachable.insert(bb);
+        reachable[static_cast<size_t>(bb->id())] = 1;
     blocks_.erase(
         std::remove_if(blocks_.begin(), blocks_.end(),
                        [&](const std::unique_ptr<BasicBlock> &bb) {
-                           return !reachable.count(bb.get());
+                           return !reachable[static_cast<size_t>(
+                               bb->id())];
                        }),
         blocks_.end());
     recomputeCfg();

@@ -183,6 +183,12 @@ class Function
 
     /** Create a new basic block owned by this function. */
     BasicBlock *newBlock();
+    /**
+     * Number of block ids handed out so far. Block ids are 0-based,
+     * never reused, and below this limit, so id-indexed analyses size
+     * their vectors with it; removed blocks leave gaps.
+     */
+    int blockLimit() const { return nextBlockId; }
 
     /** Create a stack object of @p size bytes; returns its id. */
     int newStackObject(int size, int align, const std::string &name);

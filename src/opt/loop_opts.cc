@@ -12,10 +12,12 @@
  * paper's ld_p classification targets (Figure 4b).
  */
 
-#include <optional>
+#include <map>
+#include <set>
 
 #include "ir/dominators.hh"
 #include "ir/loops.hh"
+#include "ir/regset.hh"
 #include "opt/pass.hh"
 #include "opt/util.hh"
 #include "support/logging.hh"
@@ -49,6 +51,20 @@ loopHasMemSideEffects(const Loop &loop)
     return false;
 }
 
+/** Registers with any definition inside @p loop. */
+ir::RegSet
+definedIn(const Function &fn, const Loop &loop)
+{
+    ir::RegSet defined(fn.vregLimit());
+    for (const BasicBlock *bb : loop.blocks) {
+        for (const auto &inst : bb->insts) {
+            if (inst.dest)
+                defined.insert(inst.dest);
+        }
+    }
+    return defined;
+}
+
 /** Blocks with a back edge to the loop header. */
 std::vector<BasicBlock *>
 loopLatches(const Loop &loop)
@@ -69,22 +85,18 @@ loopInvariantCodeMotion(Function &fn)
     bool any = false;
     fn.recomputeCfg();
     LoopInfo loop_info(fn);
+    // Hoisting moves instructions and may insert preheaders, but
+    // changes no vreg's def count and no dominance between the blocks
+    // LoopInfo found, so one def map and one dominator tree serve
+    // every loop.
+    const DefMap defs = collectDefs(fn);
+    const Dominators doms(fn);
 
     for (Loop *loop : loop_info.loopsInnermostFirst()) {
-        auto defs = collectDefs(fn);
         bool mem_unsafe = loopHasMemSideEffects(*loop);
         std::vector<BasicBlock *> latches = loopLatches(*loop);
+        ir::RegSet defined_in_loop = definedIn(fn, *loop);
 
-        // Registers with any definition inside the loop.
-        std::set<int> defined_in_loop;
-        for (BasicBlock *bb : loop->blocks) {
-            for (const auto &inst : bb->insts) {
-                if (inst.dest)
-                    defined_in_loop.insert(inst.dest);
-            }
-        }
-
-        Dominators doms(fn);
         BasicBlock *preheader = nullptr;
         bool changed = true;
         while (changed) {
@@ -101,15 +113,14 @@ loopInvariantCodeMotion(Function &fn)
                     if (!movable_op || !inst.dest)
                         continue;
                     // Dest must be single-def in the function.
-                    auto dit = defs.find(inst.dest);
-                    if (dit == defs.end() || dit->second.size() != 1)
+                    if (defs[static_cast<size_t>(inst.dest)].size() != 1)
                         continue;
                     // All sources invariant.
                     std::vector<int> srcs;
                     inst.sourceRegs(srcs);
                     bool invariant = true;
                     for (int s : srcs) {
-                        if (defined_in_loop.count(s)) {
+                        if (defined_in_loop.contains(s)) {
                             invariant = false;
                             break;
                         }
@@ -129,11 +140,8 @@ loopInvariantCodeMotion(Function &fn)
                         if (!dominates_latches)
                             continue;
                     }
-                    if (!preheader) {
+                    if (!preheader)
                         preheader = ir::ensurePreheader(fn, *loop);
-                        // CFG changed; dominators must be rebuilt.
-                        doms = Dominators(fn);
-                    }
                     // Insert before the preheader's terminator.
                     int moved_dest = inst.dest;
                     IrInst moved = inst;
@@ -142,7 +150,6 @@ loopInvariantCodeMotion(Function &fn)
                     preheader->insts.insert(
                         preheader->insts.end() - 1, std::move(moved));
                     defined_in_loop.erase(moved_dest);
-                    defs = collectDefs(fn);
                     changed = true;
                     any = true;
                     --i;
@@ -170,16 +177,15 @@ struct BasicIv
  * the form v = add v, imm, that def living in a latch-dominating
  * block. */
 std::vector<BasicIv>
-findBasicIvs(Function &fn, const Loop &loop)
+findBasicIvs(const DefMap &defs, const Loop &loop)
 {
     std::vector<BasicIv> ivs;
-    auto defs = collectDefs(fn);
-    for (auto &kv : defs) {
-        int vreg = kv.first;
+    for (size_t v = 1; v < defs.size(); ++v) {
+        int vreg = static_cast<int>(v);
         InstRef in_loop_def{};
         int in_loop_defs = 0;
         bool def_outside = false;
-        for (const InstRef &ref : kv.second) {
+        for (const InstRef &ref : defs[v]) {
             if (loop.contains(ref.block)) {
                 in_loop_def = ref;
                 ++in_loop_defs;
@@ -214,25 +220,18 @@ namespace {
 
 /**
  * Transform at most one (IV, scaled-temp) candidate in @p loop.
- * @return true if a transformation was applied.
+ * @p defs and @p doms must describe @p fn as it stands.
+ * @return true if a transformation was applied; the function is
+ * unchanged otherwise.
  */
 bool
-reduceOneCandidate(Function &fn, Loop &loop,
-                   std::set<int> &reduced_temps)
+reduceOneCandidate(Function &fn, Loop &loop, const DefMap &defs,
+                   const Dominators &doms, std::set<int> &reduced_temps)
 {
-    std::vector<BasicIv> ivs = findBasicIvs(fn, loop);
+    std::vector<BasicIv> ivs = findBasicIvs(defs, loop);
     if (ivs.empty())
         return false;
-    auto defs = collectDefs(fn);
-    Dominators doms(fn);
-
-    std::set<int> defined_in_loop;
-    for (BasicBlock *bb : loop.blocks) {
-        for (const auto &inst : bb->insts) {
-            if (inst.dest)
-                defined_in_loop.insert(inst.dest);
-        }
-    }
+    ir::RegSet defined_in_loop = definedIn(fn, loop);
 
     for (const BasicIv &iv : ivs) {
         // Increment must dominate every latch so the pointer update
@@ -249,10 +248,12 @@ reduceOneCandidate(Function &fn, Loop &loop,
 
         // Find scaled copies: t = shl iv, k (single-def, in loop,
         // computed with the pre-increment IV value).
-        for (const auto &kv : defs) {
-            if (kv.second.size() != 1 || reduced_temps.count(kv.first))
+        for (size_t v = 1; v < defs.size(); ++v) {
+            if (defs[v].size() != 1 ||
+                reduced_temps.count(static_cast<int>(v))) {
                 continue;
-            InstRef t_ref = kv.second[0];
+            }
+            InstRef t_ref = defs[v][0];
             if (!loop.contains(t_ref.block))
                 continue;
             const IrInst &t_inst = t_ref.inst();
@@ -280,7 +281,7 @@ reduceOneCandidate(Function &fn, Loop &loop,
                     bool site_ok =
                         inst.isMem() && inst.b.isReg() &&
                         inst.b.reg == t_vreg && inst.a.isReg() &&
-                        !defined_in_loop.count(inst.a.reg) &&
+                        !defined_in_loop.contains(inst.a.reg) &&
                         // Access must observe the pre-increment IV.
                         !(bb == iv.incBlock && i > iv.incIndex) &&
                         doms.dominates(t_ref.block, bb) &&
@@ -357,9 +358,14 @@ strengthReduceInductionVariables(Function &fn)
     std::set<int> reduced_temps;
     for (int iter = 0; iter < 256; ++iter) {
         LoopInfo loop_info(fn);
+        // Only a successful candidate edits the function, and it ends
+        // the round, so the round's loops share one def map and one
+        // dominator tree.
+        const DefMap defs = collectDefs(fn);
+        const Dominators doms(fn);
         bool changed = false;
         for (Loop *loop : loop_info.loopsInnermostFirst()) {
-            if (reduceOneCandidate(fn, *loop, reduced_temps)) {
+            if (reduceOneCandidate(fn, *loop, defs, doms, reduced_temps)) {
                 changed = true;
                 break;
             }

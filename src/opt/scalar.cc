@@ -5,7 +5,7 @@
  * store-to-load forwarding.
  */
 
-#include <optional>
+#include <map>
 
 #include "ir/dominators.hh"
 #include "ir/liveness.hh"
@@ -159,18 +159,26 @@ constantPropagation(Function &fn)
 
     // Global propagation of single-def constants (with dominance).
     fn.recomputeCfg();
-    auto defs = collectDefs(fn);
-    std::map<int, std::pair<InstRef, int32_t>> constant_defs;
-    for (auto &kv : defs) {
-        if (kv.second.size() != 1)
+    DefMap defs = collectDefs(fn);
+    // By vreg: its single "v = mov imm" def (null if none) and value.
+    struct ConstDef
+    {
+        const InstRef *def = nullptr;
+        int32_t value = 0;
+    };
+    std::vector<ConstDef> constant_defs(defs.size());
+    bool any_constant = false;
+    for (size_t v = 1; v < defs.size(); ++v) {
+        if (defs[v].size() != 1)
             continue;
-        const IrInst &inst = kv.second[0].inst();
+        const IrInst &inst = defs[v][0].inst();
         if (inst.op == IrOpcode::Mov && inst.a.isImm()) {
-            constant_defs[kv.first] = {
-                kv.second[0], static_cast<int32_t>(inst.a.imm)};
+            constant_defs[v] = {&defs[v][0],
+                                static_cast<int32_t>(inst.a.imm)};
+            any_constant = true;
         }
     }
-    if (!constant_defs.empty()) {
+    if (any_constant) {
         Dominators doms(fn);
         for (auto &bb : fn.blocks()) {
             for (size_t i = 0; i < bb->insts.size(); ++i) {
@@ -178,14 +186,13 @@ constantPropagation(Function &fn)
                 auto subst = [&](Operand &o, bool keep_reg) {
                     if (!o.isReg() || keep_reg)
                         return;
-                    auto it = constant_defs.find(o.reg);
-                    if (it == constant_defs.end())
-                        return;
-                    if (!dominatesRef(doms, it->second.first, bb.get(),
-                                      i)) {
+                    const ConstDef &c =
+                        constant_defs[static_cast<size_t>(o.reg)];
+                    if (!c.def ||
+                        !dominatesRef(doms, *c.def, bb.get(), i)) {
                         return;
                     }
-                    o = Operand::makeImm(it->second.second);
+                    o = Operand::makeImm(c.value);
                     any = true;
                 };
                 bool mem_base = inst.op == IrOpcode::Load ||
@@ -245,26 +252,26 @@ copyPropagation(Function &fn)
         }
     }
 
-    // Global single-def copy propagation.
+    // Global single-def copy propagation, in ascending vreg order.
     fn.recomputeCfg();
-    auto defs = collectDefs(fn);
+    DefMap defs = collectDefs(fn);
     Dominators doms(fn);
-    for (auto &kv : defs) {
-        if (kv.second.size() != 1)
+    for (size_t v = 1; v < defs.size(); ++v) {
+        if (defs[v].size() != 1)
             continue;
-        IrInst &def_inst = kv.second[0].inst();
+        const InstRef &def = defs[v][0];
+        IrInst &def_inst = def.inst();
         if (def_inst.op != IrOpcode::Mov || !def_inst.a.isReg())
             continue;
         int src = def_inst.a.reg;
-        auto src_defs = defs.find(src);
-        if (src_defs == defs.end() || src_defs->second.size() != 1)
+        const std::vector<InstRef> &src_defs =
+            defs[static_cast<size_t>(src)];
+        if (src_defs.size() != 1)
             continue;
         // src's unique def must dominate the copy itself.
-        if (!dominatesRef(doms, src_defs->second[0],
-                          kv.second[0].block, kv.second[0].index)) {
+        if (!dominatesRef(doms, src_defs[0], def.block, def.index))
             continue;
-        }
-        int dest = kv.first;
+        int dest = static_cast<int>(v);
         for (auto &bb : fn.blocks()) {
             for (size_t i = 0; i < bb->insts.size(); ++i) {
                 IrInst &inst = bb->insts[i];
@@ -272,7 +279,7 @@ copyPropagation(Function &fn)
                     continue;
                 auto subst = [&](Operand &o) {
                     if (o.isReg() && o.reg == dest &&
-                        dominatesRef(doms, kv.second[0], bb.get(), i)) {
+                        dominatesRef(doms, def, bb.get(), i)) {
                         o = Operand::makeReg(src);
                         any = true;
                     }
@@ -282,7 +289,7 @@ copyPropagation(Function &fn)
                 subst(inst.c);
                 for (auto &arg : inst.args) {
                     if (arg == dest &&
-                        dominatesRef(doms, kv.second[0], bb.get(), i)) {
+                        dominatesRef(doms, def, bb.get(), i)) {
                         arg = src;
                         any = true;
                     }
@@ -297,7 +304,7 @@ bool
 coalesceMoves(Function &fn)
 {
     bool any = false;
-    auto uses = countUses(fn);
+    std::vector<int> uses = countUses(fn);
     for (auto &bb : fn.blocks()) {
         for (size_t i = 0; i + 1 < bb->insts.size(); ++i) {
             IrInst &def = bb->insts[i];
@@ -309,14 +316,15 @@ coalesceMoves(Function &fn)
             if (def.dest == mv.dest)
                 continue;
             // t must be consumed only by the mov.
-            auto it = uses.find(def.dest);
-            if (it == uses.end() || it->second != 1)
+            int &t_uses = uses[static_cast<size_t>(def.dest)];
+            if (t_uses != 1)
                 continue;
+            // The mov and its one use of t go; no other count moves.
+            t_uses = 0;
             def.dest = mv.dest;
             bb->insts.erase(bb->insts.begin() +
                             static_cast<long>(i) + 1);
             any = true;
-            uses = countUses(fn);
         }
     }
     return any;
@@ -330,14 +338,14 @@ deadCodeElimination(Function &fn)
     bool any = false;
     std::vector<int> srcs;
     for (auto &bb : fn.blocks()) {
-        std::set<int> live_now = live.liveOut(bb.get());
+        ir::RegSet live_now = live.liveOut(bb.get());
         for (size_t i = bb->insts.size(); i-- > 0;) {
             IrInst &inst = bb->insts[i];
-            bool dead = inst.dest && !live_now.count(inst.dest) &&
+            bool dead = inst.dest && !live_now.contains(inst.dest) &&
                         !inst.hasSideEffects() && !inst.isLoad();
             // Dead loads are removable too: this machine's loads have
             // no observable side effects at the IR level.
-            if (inst.dest && !live_now.count(inst.dest) &&
+            if (inst.dest && !live_now.contains(inst.dest) &&
                 inst.isLoad()) {
                 dead = true;
             }
@@ -356,7 +364,7 @@ deadCodeElimination(Function &fn)
             // A call whose result is unused keeps running for its
             // side effects, but the dest can be dropped.
             if (inst.isCall() && inst.dest &&
-                !live_now.count(inst.dest)) {
+                !live_now.contains(inst.dest)) {
                 inst.dest = 0;
                 any = true;
             }

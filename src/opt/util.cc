@@ -5,30 +5,30 @@
 namespace elag {
 namespace opt {
 
-std::map<int, std::vector<InstRef>>
+DefMap
 collectDefs(ir::Function &fn)
 {
-    std::map<int, std::vector<InstRef>> defs;
+    DefMap defs(static_cast<size_t>(fn.vregLimit()));
     for (auto &bb : fn.blocks()) {
         for (size_t i = 0; i < bb->insts.size(); ++i) {
-            if (bb->insts[i].dest)
-                defs[bb->insts[i].dest].push_back({bb.get(), i});
+            if (int dest = bb->insts[i].dest)
+                defs[static_cast<size_t>(dest)].push_back({bb.get(), i});
         }
     }
     return defs;
 }
 
-std::map<int, int>
+std::vector<int>
 countUses(const ir::Function &fn)
 {
-    std::map<int, int> uses;
+    std::vector<int> uses(static_cast<size_t>(fn.vregLimit()), 0);
     std::vector<int> srcs;
     for (const auto &bb : fn.blocks()) {
         for (const auto &inst : bb->insts) {
             srcs.clear();
             inst.sourceRegs(srcs);
             for (int s : srcs)
-                ++uses[s];
+                ++uses[static_cast<size_t>(s)];
         }
     }
     return uses;

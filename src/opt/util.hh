@@ -7,7 +7,6 @@
 #define ELAG_OPT_UTIL_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "ir/ir.hh"
@@ -24,11 +23,19 @@ struct InstRef
     ir::IrInst &inst() const { return block->insts[index]; }
 };
 
-/** All definition sites of every vreg in the function. */
-std::map<int, std::vector<InstRef>> collectDefs(ir::Function &fn);
+/**
+ * Definition sites by vreg id: entry v lists v's defs in block order,
+ * then instruction order. Sized Function::vregLimit(); entry 0 and
+ * vregs without a def are empty. Inserting or erasing instructions
+ * invalidates the InstRefs, but not the def counts.
+ */
+using DefMap = std::vector<std::vector<InstRef>>;
 
-/** Number of uses of every vreg. */
-std::map<int, int> countUses(const ir::Function &fn);
+/** All definition sites of every vreg in the function. */
+DefMap collectDefs(ir::Function &fn);
+
+/** Number of uses of every vreg, indexed by vreg id. */
+std::vector<int> countUses(const ir::Function &fn);
 
 /** Evaluate a binary IR op on 32-bit wrapped values. */
 int32_t evalIrOp(ir::IrOpcode op, int32_t a, int32_t b);

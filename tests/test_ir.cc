@@ -239,10 +239,10 @@ TEST(Liveness, ValueLiveAcrossLoop)
     SimpleLoop l;
     Liveness live(l.fn);
     // iv is live into the header and body (used by branch and add).
-    EXPECT_TRUE(live.liveIn(l.header).count(l.iv));
-    EXPECT_TRUE(live.liveIn(l.body).count(l.iv));
-    EXPECT_FALSE(live.liveIn(l.entry).count(l.iv));
-    EXPECT_FALSE(live.liveIn(l.exit).count(l.iv));
+    EXPECT_TRUE(live.liveIn(l.header).contains(l.iv));
+    EXPECT_TRUE(live.liveIn(l.body).contains(l.iv));
+    EXPECT_FALSE(live.liveIn(l.entry).contains(l.iv));
+    EXPECT_FALSE(live.liveIn(l.exit).contains(l.iv));
 }
 
 TEST(Liveness, DeadAfterLastUse)
