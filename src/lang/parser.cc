@@ -159,6 +159,15 @@ Parser::error(const std::string &msg) const
           msg.c_str());
 }
 
+void
+Parser::Nest::deeper()
+{
+    ++levels;
+    if (++parser.depth > MaxNesting)
+        parser.error(formatString("nesting deeper than %d levels",
+                                  MaxNesting));
+}
+
 bool
 Parser::atTypeName() const
 {
@@ -287,6 +296,7 @@ Parser::parseBlock()
 StmtPtr
 Parser::parseStmt()
 {
+    Nest nest(*this);
     SrcLoc loc = peek().loc;
     if (check(TokKind::LBrace))
         return parseBlock();
@@ -419,6 +429,7 @@ Parser::parseExpr()
 ExprPtr
 Parser::parseAssignment()
 {
+    Nest nest(*this);
     ExprPtr lhs = parseConditional();
     BinaryOp compound_op;
     if (accept(TokKind::Assign)) {
@@ -445,6 +456,7 @@ Parser::parseConditional()
     ExprPtr cond = parseBinary(1);
     if (!accept(TokKind::Question))
         return cond;
+    Nest nest(*this);
     auto e = makeExpr(ExprKind::Cond, cond->loc);
     e->lhs = std::move(cond);
     e->rhs = parseExpr();
@@ -457,10 +469,12 @@ ExprPtr
 Parser::parseBinary(int min_prec)
 {
     ExprPtr lhs = parseUnary();
+    Nest chain(*this, 0);
     for (;;) {
         int prec = binPrec(peek().kind);
         if (prec < min_prec)
             return lhs;
+        chain.deeper();
         TokKind op_tok = advance().kind;
         ExprPtr rhs = parseBinary(prec + 1);
         auto e = makeExpr(ExprKind::Binary, lhs->loc);
@@ -474,6 +488,7 @@ Parser::parseBinary(int min_prec)
 ExprPtr
 Parser::parseUnary()
 {
+    Nest nest(*this);
     SrcLoc loc = peek().loc;
     // A cast: '(' type-name ')' unary.
     if (check(TokKind::LParen)) {
@@ -520,6 +535,7 @@ ExprPtr
 Parser::parsePostfix()
 {
     ExprPtr e = parsePrimary();
+    Nest chain(*this, 0);
     for (;;) {
         SrcLoc loc = peek().loc;
         if (accept(TokKind::LBracket)) {
@@ -555,6 +571,7 @@ Parser::parsePostfix()
         } else {
             return e;
         }
+        chain.deeper();
     }
 }
 

@@ -28,17 +28,50 @@ namespace lang {
  *   expr       := standard C precedence, including ?:, short-circuit
  *                 && / ||, compound assignment, ++/--, casts, a[i]
  *
+ * Nesting is budgeted: every statement inside a statement, every
+ * expression inside another (parentheses, operands, indices, call
+ * arguments, assignment right-hand sides), every unary operator and
+ * every further binary or postfix operator in a chain counts one
+ * level for as long as it is open. A program deeper than MaxNesting
+ * levels is a syntax error, so the recursive passes after the parser
+ * never see a tree deep enough to exhaust the stack.
+ *
  * @throws FatalError with source location on syntax errors.
  */
 class Parser
 {
   public:
+    /** Nesting budget; the deepest corpus program uses 21 levels. */
+    static constexpr int MaxNesting = 1000;
+
     Parser(std::vector<Token> tokens, TypeTable &types);
 
     /** Parse the whole translation unit. */
     std::unique_ptr<Program> parseProgram();
 
   private:
+    /** Holds nesting levels until destroyed; see MaxNesting. */
+    class Nest
+    {
+      public:
+        /** Take @p levels levels now. */
+        explicit Nest(Parser &parser, int levels = 1) : parser(parser)
+        {
+            while (levels-- > 0)
+                deeper();
+        }
+        ~Nest() { parser.depth -= levels; }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+
+        /** Take one more level. */
+        void deeper();
+
+      private:
+        Parser &parser;
+        int levels = 0;
+    };
+
     const Token &peek(int ahead = 0) const;
     const Token &advance();
     bool check(TokKind kind) const;
@@ -73,6 +106,8 @@ class Parser
 
     std::vector<Token> toks;
     size_t pos = 0;
+    /** Nesting levels currently open. */
+    int depth = 0;
     TypeTable &types;
 };
 

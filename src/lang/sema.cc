@@ -1,5 +1,6 @@
 #include "lang/sema.hh"
 
+#include "isa/program.hh"
 #include "support/logging.hh"
 
 namespace elag {
@@ -133,20 +134,32 @@ Sema::foldConst(const Expr &expr) const
 void
 Sema::layoutGlobals()
 {
-    int offset = 0;
+    // The segment, with the heap-pointer word irgen appends, must fit
+    // in the emulator's memory above GlobalBase. Sizes are summed in
+    // 64 bits so a huge array cannot wrap the int offsets.
+    const int64_t capacity = int64_t{isa::MemorySize} - isa::GlobalBase;
+    int64_t offset = 0;
     for (auto &g : prog.globals) {
         int align = g->type->size();
         offset = (offset + align - 1) / align * align;
-        g->globalOffset = offset;
-        int bytes = g->isArray ? g->type->size() * g->arraySize
-                               : g->type->size();
-        offset += bytes;
+        g->globalOffset = static_cast<int>(offset);
+        offset += g->isArray ? int64_t{g->type->size()} * g->arraySize
+                             : g->type->size();
+        int64_t segment = (offset + 7) / 8 * 8 + 4;
+        if (segment > capacity) {
+            error(g->loc,
+                  formatString("global data needs %lld bytes, more than "
+                               "the %lld bytes of simulated memory above "
+                               "the global base",
+                               static_cast<long long>(segment),
+                               static_cast<long long>(capacity)));
+        }
         if (g->init) {
             g->hasConstInit = true;
             g->constInit = foldConst(*g->init);
         }
     }
-    globalBytes = (offset + 7) / 8 * 8;
+    globalBytes = static_cast<int>((offset + 7) / 8 * 8);
 }
 
 void

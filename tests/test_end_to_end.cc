@@ -5,6 +5,9 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
 
 #include "pipeline/config.hh"
 #include "sim/simulator.hh"
@@ -218,6 +221,51 @@ TEST(EndToEnd, ElagcRejectsUnknownNamesBeforeCompiling)
         EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
         EXPECT_EQ(r.err.find("compiled:"), std::string::npos) << r.err;
     }
+}
+
+TEST(EndToEnd, ElagcRejectsHostileProgramsWithExitOne)
+{
+    // Each used to kill elagc with a signal: the nested inputs
+    // overflowed the stack (exit 139), the array aborted on an
+    // uncaught std::length_error (exit 134).
+    auto repeat = [](const std::string &text, int n) {
+        std::string out;
+        for (int i = 0; i < n; ++i)
+            out += text;
+        return out;
+    };
+    struct Case
+    {
+        std::string source;
+        std::string error;
+    };
+    const Case cases[] = {
+        {"int main() { int x = " + repeat("(", 30000) + "1" +
+             repeat(")", 30000) + "; print(x); return 0; }",
+         "parse error at 1:521: nesting deeper than 1000 levels"},
+        {"int main() { int x = 1;\n" + repeat("if (x) {", 20000) +
+             "print(x);" + repeat("}", 20000) + "\nreturn 0; }",
+         "parse error at 2:3997: nesting deeper than 1000 levels"},
+        {"int a[2000000000];\nint main() { a[0] = 1; return 0; }",
+         "semantic error at 1:1: global data needs 8000000004 bytes"},
+    };
+    const std::string path =
+        testing::TempDir() + "elag-hostile-" +
+        std::to_string(static_cast<long>(::getpid())) + ".c";
+    for (const Case &c : cases) {
+        FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs(c.source.c_str(), f);
+        std::fclose(f);
+        auto r = runSubprocess({ELAG_ELAGC_BIN, path});
+        ASSERT_EQ(r.status, SubprocessStatus::Exited)
+            << describeSubprocessResult(r);
+        EXPECT_EQ(r.exitCode, 1) << r.err;
+        EXPECT_NE(r.err.find("elagc: fatal: " + c.error),
+                  std::string::npos)
+            << r.err;
+    }
+    std::remove(path.c_str());
 }
 
 #endif // ELAG_ELAGC_BIN

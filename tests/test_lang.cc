@@ -199,6 +199,83 @@ TEST(Parser, SyntaxErrors)
     EXPECT_THROW(parseOk("int f() { 3(); }", types), FatalError);
 }
 
+namespace {
+
+std::string
+repeat(const std::string &text, int n)
+{
+    std::string out;
+    for (int i = 0; i < n; ++i)
+        out += text;
+    return out;
+}
+
+/** main() computing ((...(1)...)) inside @p n parentheses. */
+std::string
+nestedParens(int n)
+{
+    return "int main() { int x = " + repeat("(", n) + "1" +
+           repeat(")", n) + "; print(x); return 0; }";
+}
+
+/** main() with @p n nested if blocks. */
+std::string
+nestedIfs(int n)
+{
+    return "int main() { int x = 1; " + repeat("if (x) { ", n) +
+           "print(x); " + repeat("} ", n) + "return 0; }";
+}
+
+/** The message of the FatalError parsing @p src throws ("" if none). */
+std::string
+parseFailure(const std::string &src)
+{
+    TypeTable types;
+    try {
+        parseSource(src, types);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(Parser, NestingBudgetRejectsDeepPrograms)
+{
+    const std::string too_deep = "nesting deeper than 1000 levels";
+    // The shapes that used to overflow the stack in the parser, in
+    // sema or in the tree's destructor: parentheses, blocks, and
+    // chains of binary, postfix, assignment, unary and ?: operators.
+    for (const std::string &src :
+         {nestedParens(30000), nestedIfs(20000),
+          "int main() { return 1" + repeat(" + 1", 100000) + "; }",
+          "int main() { int x = 0; x" + repeat("++", 100000) +
+              "; return x; }",
+          "int main() { int x; " + repeat("x = ", 100000) +
+              "1; return x; }",
+          "int main() { return " + repeat("- ", 100000) + "1; }",
+          "int main() { int x = 1; return " + repeat("x ? 1 : ", 100000) +
+              "0; }"}) {
+        std::string error = parseFailure(src);
+        EXPECT_NE(error.find("parse error at 1:"), std::string::npos)
+            << error;
+        EXPECT_NE(error.find(too_deep), std::string::npos) << error;
+    }
+    // Each parenthesis opens two levels (an expression and its
+    // operand), each if block two (the if and its block).
+    EXPECT_EQ(parseFailure(nestedParens(490)), "");
+    EXPECT_NE(parseFailure(nestedParens(510)).find(too_deep),
+              std::string::npos);
+    EXPECT_EQ(parseFailure(nestedIfs(490)), "");
+    EXPECT_NE(parseFailure(nestedIfs(510)).find(too_deep),
+              std::string::npos);
+    // A long flat program is not deep.
+    EXPECT_EQ(parseFailure("int main() { int x = 0; " +
+                           repeat("x = x + 1; ", 20000) + "return x; }"),
+              "");
+}
+
 TEST(Sema, AcceptsWellTypedProgram)
 {
     analyzeOk(R"(
@@ -299,6 +376,29 @@ TEST(Sema, GlobalLayoutIsAligned)
     EXPECT_EQ(prog->globals[2]->globalOffset, 8);
     EXPECT_EQ(prog->globals[3]->globalOffset, 12);
     EXPECT_GE(sema.globalSize(), 16);
+}
+
+TEST(Sema, GlobalDataMustFitInMemory)
+{
+    // 64 MiB of memory above the global base holds the segment and the
+    // heap-pointer word after it, rounded to 8 bytes.
+    analyzeOk("int a[16777214]; int main() { return a[0]; }");
+    for (const char *src :
+         {"int a[16777215]; int main() { return a[0]; }",
+          "int a[2000000000]; int main() { return a[0]; }",
+          "char c[60000000]; int a[2000000]; int main() { return 0; }"}) {
+        TypeTable types;
+        auto prog = parseSource(src, types);
+        Sema sema(*prog, types);
+        try {
+            sema.analyze();
+            ADD_FAILURE() << "accepted: " << src;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("global data needs"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Sema, PointerArithmeticTyping)

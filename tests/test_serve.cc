@@ -439,6 +439,53 @@ TEST(Serve, CompileClassifyHealthAndUnknownVerbs)
     server.wait();
 }
 
+TEST(Serve, HostileProgramsGetFatalErrorsAndServiceContinues)
+{
+    // Deep nesting used to overflow the stack of the worker compiling
+    // it, and a huge global array to abort on std::length_error: both
+    // killed the whole daemon. Each must now fail alone.
+    setQuiet(true);
+    parallel::ThreadPool pool(2);
+    ServerConfig config;
+    config.socketPath = testSocketPath();
+    config.pool = &pool;
+    Server server(config);
+    server.start();
+    Client client = Client::connectTo(config.socketPath);
+
+    auto repeat = [](const std::string &text, int n) {
+        std::string out;
+        for (int i = 0; i < n; ++i)
+            out += text;
+        return out;
+    };
+    const std::pair<std::string, std::string> cases[] = {
+        {"int main() { int x = " + repeat("(", 30000) + "1" +
+             repeat(")", 30000) + "; print(x); return 0; }",
+         "nesting deeper than 1000 levels"},
+        {"int main() { int x = 1; " + repeat("if (x) { ", 20000) +
+             "print(x); " + repeat("} ", 20000) + "return 0; }",
+         "nesting deeper than 1000 levels"},
+        {"int a[2000000000]; int main() { a[0] = 1; return 0; }",
+         "global data needs 8000000004 bytes"},
+    };
+    for (const auto &[source, error] : cases) {
+        Response response = client.call(simulateRequest(source));
+        EXPECT_FALSE(response.ok);
+        EXPECT_EQ(response.errorType, errtype::Fatal);
+        EXPECT_NE(response.errorMessage.find(error), std::string::npos)
+            << response.errorMessage;
+
+        // The same connection is served next.
+        Response next = client.call(simulateRequest(kTinyProgram));
+        ASSERT_TRUE(next.ok) << next.errorMessage;
+        EXPECT_NE(next.result.find("\"cycles\""), std::string::npos);
+    }
+
+    server.beginDrain();
+    server.wait();
+}
+
 TEST(Serve, OverloadRejectsAtFullQueueDepth)
 {
     setQuiet(true);
