@@ -240,13 +240,14 @@ main(int argc, char **argv)
         return 2;
     }
     std::string set = arg.substr(std::strlen(prefix));
+    bool codegen = set == "codegen";
     std::vector<GoldenRun> runs = runsOf(set);
-    if (runs.empty() && set != "codegen") {
+    if (runs.empty() && !codegen) {
         usage();
         return 2;
     }
     try {
-        if (set == "codegen") {
+        if (codegen) {
             for (const CodegenProgram &program : codegenPrograms())
                 std::printf("%s\n", codegenLine(program).c_str());
         }
